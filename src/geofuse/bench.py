@@ -11,7 +11,7 @@ here measures.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,16 +98,28 @@ def episode_to_line(ep: Episode) -> str:
 
 
 def episode_from_line(line: str, horizon: int = 4, d_action: int = 7) -> Episode:
+    """Inverse of `episode_to_line`; a malformed line raises ConfigError."""
     toks = line.split()
-    split, instruction, n = toks[0], int(toks[1]), int(toks[2])
-    i = 3
+    try:
+        split, instruction, n = toks[0], int(toks[1]), int(toks[2])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"malformed dataset line start: {line[:40]!r}") from exc
+    want = 3 + 4 * n + horizon * d_action
+    if n < 1 or len(toks) != want:
+        raise ConfigError(f"dataset line has {len(toks)} tokens, expected {want} "
+                          f"for {n} objects")
     ids, pos = [], []
-    for _ in range(n):
-        ids.append(int(toks[i]))
-        pos.append([float(v) for v in toks[i + 1 : i + 4]])
-        i += 4
-    target = np.array([float(v) for v in toks[i:]]).reshape(horizon, d_action)
-    return Episode(SceneSpec(np.array(pos), ids, instruction), target, split)
+    try:
+        for i in range(3, 3 + 4 * n, 4):
+            ids.append(int(toks[i]))
+            pos.append([float(v) for v in toks[i + 1 : i + 4]])
+        target = np.array([float(v) for v in toks[3 + 4 * n :]]).reshape(horizon, d_action)
+    except ValueError as exc:
+        raise ConfigError(f"malformed dataset line: {exc}") from exc
+    pos = np.array(pos)
+    if not (np.isfinite(pos).all() and np.isfinite(target).all()):
+        raise ConfigError("dataset line holds a non-finite value")
+    return Episode(SceneSpec(pos, ids, instruction), target, split)
 
 
 def save_dataset(episodes, path):
@@ -148,20 +160,6 @@ class TrainConfig:
     lr_fusion: float = 1e-2
     warmup_frac: float = 0.05
     beta1: float = 0.0
-    beta2: float = 0.999
-    grad_clip: float = 0.0  # 0 disables
-
-
-def _clip(params, max_norm):
-    total = 0.0
-    grads = [p.value.grad for p in params if p.value.grad is not None]
-    for g in grads:
-        total += float((g * g).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
 
 
 def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
@@ -175,7 +173,7 @@ def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
     opt = AdaptiveOptimizer(
         [(backbone, cfg.lr_backbone), (fusion, cfg.lr_fusion)],
         total_steps=cfg.steps, warmup_frac=cfg.warmup_frac,
-        beta1=cfg.beta1, beta2=cfg.beta2,
+        beta1=cfg.beta1,
     )
     data_rng = rng.derive(101)
     noise_rng = rng.derive(102)
@@ -194,15 +192,12 @@ def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
         curve.append(val)
         policy.store.zero_grad()
         loss.backward()
-        if cfg.grad_clip > 0:
-            _clip([p for p in policy.store if p.trainable], cfg.grad_clip)
         opt.step()
     return curve
 
 
 def evaluate_policy(policy: FusionPolicy, episodes, rng: RngStream,
-                    corruption: CorruptionMode | None = None,
-                    eps_succ: float = SUCCESS_EPS) -> Metrics:
+                    corruption: CorruptionMode | None = None) -> Metrics:
     if not episodes:
         raise ConfigError("no evaluation episodes")
     corruption = corruption or CorruptionMode("none")
@@ -219,7 +214,7 @@ def evaluate_policy(policy: FusionPolicy, episodes, rng: RngStream,
     max_err = np.abs(err).reshape(len(episodes), -1).max(axis=1)
     l2 = np.sqrt((err**2).reshape(len(episodes), -1).sum(axis=1))
     return Metrics(
-        success_rate=float((max_err < eps_succ).mean()),
+        success_rate=float((max_err < SUCCESS_EPS).mean()),
         mean_l2_error=float(l2.mean()),
         n_episodes=len(episodes),
     )

@@ -8,6 +8,7 @@ Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -38,17 +39,24 @@ def read_header(path) -> tuple[dict, int]:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        fixed = fh.read(12)
+        if len(fixed) != 12:
+            raise CheckpointError("truncated checkpoint header")
+        version, hlen = struct.unpack("<IQ", fixed)
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(hlen)
-        if len(raw) != hlen:
+        # checked before reading, so a corrupt length never sizes a buffer
+        if hlen > os.fstat(fh.fileno()).st_size - fh.tell():
             raise CheckpointError("truncated checkpoint header")
-        try:
-            return json.loads(raw.decode()), fh.tell()
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError("corrupt checkpoint header") from exc
+        raw = fh.read(hlen)
+        offset = fh.tell()
+    try:
+        header = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError("corrupt checkpoint header") from exc
+    if not isinstance(header, dict) or not {"config", "params"} <= header.keys():
+        raise CheckpointError("checkpoint header lacks a config or a param manifest")
+    return header, offset
 
 
 def load_checkpoint(path):

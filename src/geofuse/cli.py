@@ -10,15 +10,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import CorruptionMode, evaluate_policy, make_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .errors import GeofuseError
-from .rng import RngStream
 from .runner import (
     ABLATION_KINDS,
     RunRecord,
+    build_eval_dataset,
     emit_table,
+    evaluate_config,
     loss_curves_csv,
     pilot_configs,
     records_to_rows,
@@ -68,11 +68,9 @@ def cmd_eval(args) -> int:
     policy, cfg = load_checkpoint(args.checkpoint)
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    episodes = make_dataset(RngStream(cfg.seed, 40), cfg.eval_episodes,
-                            cfg.n_objects, cfg.n_patches, cfg.horizon,
-                            cfg.d_action, split="eval")
-    corruption = CorruptionMode(args.corruption or cfg.corruption, cfg.corruption_sigma)
-    m = evaluate_policy(policy, episodes, RngStream(cfg.seed, 41), corruption)
+    if args.corruption:
+        cfg = cfg.replace(corruption=args.corruption)
+    m = evaluate_config(policy, cfg, build_eval_dataset(cfg))
     print(f"success_rate={m.success_rate:.4f} mean_l2_error={m.mean_l2_error:.4f} "
           f"n={m.n_episodes}")
     return 0

@@ -58,10 +58,6 @@ class ExperimentConfig:
     PILOT_FREE_FIELDS = ("scheme",)
 
     @classmethod
-    def field_types(cls):
-        return {f.name: f.type for f in dataclasses.fields(cls)}
-
-    @classmethod
     def from_dict(cls, overrides: dict) -> "ExperimentConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}

@@ -1,43 +1,28 @@
 """Hot inner-loop kernels: row softmax and layer norm, forward and backward.
 
-Two implementations live side by side: numba @njit loops and plain numpy.
-The numba path is the default when numba imports; set GEOFUSE_DISABLE_NUMBA=1
-to force the numpy fallback (useful for debugging and for the benchmark in
-benchmarks/kernel_bench.py).  All kernels take and return contiguous
-float64 arrays with the reduced axis last, flattened to 2D by the caller.
+Plain numpy over 2D float64 arrays with the reduced axis last.  tensor.py
+flattens leading axes and calls these as `kernels.<name>`, so a wrapper
+installed on this module (such as the perfbench tracer) sees every call.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("GEOFUSE_DISABLE_NUMBA", "0") not in ("0", "", "false")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+HAS_NUMBA = False  # numpy is the only kernel path; perfbench still reports this flag
 
 
-# ---------------------------------------------------------------- numpy path
-
-def _softmax_fwd_np(x):
+def softmax_fwd(x):
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_bwd_np(y, gy):
+def softmax_bwd(y, gy):
     dot = (y * gy).sum(axis=1, keepdims=True)
     return y * (gy - dot)
 
 
-def _layernorm_fwd_np(x, gain, bias, eps):
+def layernorm_fwd(x, gain, bias, eps):
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -45,8 +30,7 @@ def _layernorm_fwd_np(x, gain, bias, eps):
     return xhat * gain + bias, xhat, inv[:, 0]
 
 
-def _layernorm_bwd_np(gy, xhat, inv, gain):
-    d = xhat.shape[1]
+def layernorm_bwd(gy, xhat, inv, gain):
     gxhat = gy * gain
     m1 = gxhat.mean(axis=1, keepdims=True)
     m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
@@ -54,94 +38,3 @@ def _layernorm_bwd_np(gy, xhat, inv, gain):
     ggain = (gy * xhat).sum(axis=0)
     gbias = gy.sum(axis=0)
     return gx, ggain, gbias
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _softmax_fwd_nb(x):
-        n, d = x.shape
-        out = np.empty((n, d))
-        for i in range(n):
-            m = x[i, 0]
-            for j in range(1, d):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(d):
-                v = np.exp(x[i, j] - m)
-                out[i, j] = v
-                s += v
-            for j in range(d):
-                out[i, j] /= s
-        return out
-
-    @njit(cache=True)
-    def _softmax_bwd_nb(y, gy):
-        n, d = y.shape
-        gx = np.empty((n, d))
-        for i in range(n):
-            dot = 0.0
-            for j in range(d):
-                dot += y[i, j] * gy[i, j]
-            for j in range(d):
-                gx[i, j] = y[i, j] * (gy[i, j] - dot)
-        return gx
-
-    @njit(cache=True)
-    def _layernorm_fwd_nb(x, gain, bias, eps):
-        n, d = x.shape
-        y = np.empty((n, d))
-        xhat = np.empty((n, d))
-        inv = np.empty(n)
-        for i in range(n):
-            mu = 0.0
-            for j in range(d):
-                mu += x[i, j]
-            mu /= d
-            var = 0.0
-            for j in range(d):
-                t = x[i, j] - mu
-                var += t * t
-            var /= d
-            iv = 1.0 / np.sqrt(var + eps)
-            inv[i] = iv
-            for j in range(d):
-                h = (x[i, j] - mu) * iv
-                xhat[i, j] = h
-                y[i, j] = h * gain[j] + bias[j]
-        return y, xhat, inv
-
-    @njit(cache=True)
-    def _layernorm_bwd_nb(gy, xhat, inv, gain):
-        n, d = gy.shape
-        gx = np.empty((n, d))
-        ggain = np.zeros(d)
-        gbias = np.zeros(d)
-        for i in range(n):
-            m1 = 0.0
-            m2 = 0.0
-            for j in range(d):
-                gh = gy[i, j] * gain[j]
-                m1 += gh
-                m2 += gh * xhat[i, j]
-                ggain[j] += gy[i, j] * xhat[i, j]
-                gbias[j] += gy[i, j]
-            m1 /= d
-            m2 /= d
-            for j in range(d):
-                gh = gy[i, j] * gain[j]
-                gx[i, j] = inv[i] * (gh - m1 - xhat[i, j] * m2)
-        return gx, ggain, gbias
-
-    softmax_fwd = _softmax_fwd_nb
-    softmax_bwd = _softmax_bwd_nb
-    layernorm_fwd = _layernorm_fwd_nb
-    layernorm_bwd = _layernorm_bwd_nb
-else:
-    softmax_fwd = _softmax_fwd_np
-    softmax_bwd = _softmax_bwd_np
-    layernorm_fwd = _layernorm_fwd_np
-    layernorm_bwd = _layernorm_bwd_np

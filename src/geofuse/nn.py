@@ -29,10 +29,6 @@ def linear(x: Tensor, w, bias=None) -> Tensor:
     return y
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
 def mean_pool_seq(h: Tensor) -> Tensor:
     """Mean over the sequence axis of a B x L x D tensor, keeping the axis."""
     if h.ndim != 3:

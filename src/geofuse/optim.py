@@ -14,14 +14,12 @@ import numpy as np
 
 class AdaptiveOptimizer:
     def __init__(self, groups, total_steps: int, warmup_frac: float = 0.05,
-                 beta1: float = 0.0, beta2: float = 0.999, eps: float = 1e-8,
-                 schedule: str = "cosine"):
+                 beta1: float = 0.0, beta2: float = 0.999, eps: float = 1e-8):
         """groups: list of (params, peak_lr)."""
         self.groups = [(list(params), float(lr)) for params, lr in groups]
         self.total_steps = total_steps
         self.warmup_steps = max(1, int(warmup_frac * total_steps))
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.schedule = schedule
         self.t = 0
         self._m = {}
         self._v = {}
@@ -29,8 +27,6 @@ class AdaptiveOptimizer:
     def lr_scale(self) -> float:
         if self.t <= self.warmup_steps:
             return self.t / self.warmup_steps
-        if self.schedule == "constant":
-            return 1.0
         frac = (self.t - self.warmup_steps) / max(1, self.total_steps - self.warmup_steps)
         return 0.5 * (1.0 + math.cos(math.pi * min(1.0, frac)))
 

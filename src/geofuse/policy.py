@@ -18,7 +18,6 @@ from .backbones import (
     GeoEncoderConfig,
     GeoTokens,
     MLLMOutput,
-    SceneSpec,
     ToyMLLM,
     ToyMLLMConfig,
 )
@@ -107,10 +106,6 @@ class FusionPolicy:
         cond = self.scheme.conditioning(mllm_out, geo, self.schedule)
         branch = self.scheme.geo_branch(geo) if "dit_block" in self.scheme.hooks else None
         return cond, branch, mllm_out
-
-    def velocity(self, scenes, noisy: Tensor, tau, geo=None) -> Tensor:
-        cond, branch, _ = self.conditioning(scenes, geo)
-        return self.dit.forward(noisy, cond, tau, geo_branch=branch)
 
     # -- training objective ------------------------------------------------
 

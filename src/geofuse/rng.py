@@ -42,6 +42,3 @@ class RngStream:
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)

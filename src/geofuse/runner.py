@@ -5,7 +5,7 @@ import concurrent.futures
 import decimal
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backbones import DiTConfig, GeoEncoderConfig, ToyMLLMConfig
 from .bench import (
@@ -53,12 +53,25 @@ def build_policy(cfg: ExperimentConfig) -> FusionPolicy:
 
 
 def build_datasets(cfg: ExperimentConfig):
-    data_rng = RngStream(cfg.seed, _STREAM_DATA)
-    train = make_dataset(data_rng.derive(0), cfg.dataset_size, cfg.n_objects,
-                         cfg.n_patches, cfg.horizon, cfg.d_action, split="train")
-    evals = make_dataset(data_rng.derive(1), cfg.eval_episodes, cfg.n_objects,
-                         cfg.n_patches, cfg.horizon, cfg.d_action, split="eval")
-    return train, evals
+    """(train, eval) episode lists for a config."""
+    train = make_dataset(RngStream(cfg.seed, _STREAM_DATA).derive(0), cfg.dataset_size,
+                         cfg.n_objects, cfg.n_patches, cfg.horizon, cfg.d_action,
+                         split="train")
+    return train, build_eval_dataset(cfg)
+
+
+def build_eval_dataset(cfg: ExperimentConfig):
+    """The eval split alone, drawn from the same stream `build_datasets` uses,
+    so a saved checkpoint can be re-scored on exactly its record's episodes."""
+    return make_dataset(RngStream(cfg.seed, _STREAM_DATA).derive(1), cfg.eval_episodes,
+                        cfg.n_objects, cfg.n_patches, cfg.horizon, cfg.d_action,
+                        split="eval")
+
+
+def evaluate_config(policy: FusionPolicy, cfg: ExperimentConfig, episodes):
+    """Score `policy` on `episodes` with the config's eval stream and corruption."""
+    return evaluate_policy(policy, episodes, RngStream(cfg.seed, _STREAM_EVAL),
+                           CorruptionMode(cfg.corruption, cfg.corruption_sigma))
 
 
 @dataclass
@@ -93,9 +106,7 @@ def run_single(cfg: ExperimentConfig, return_policy: bool = False):
                        lr_backbone=cfg.lr_backbone, lr_fusion=cfg.lr_fusion,
                        warmup_frac=cfg.warmup_frac, beta1=cfg.beta1)
     curve = train_policy(policy, train_eps, tcfg, RngStream(cfg.seed, _STREAM_TRAIN))
-    corruption = CorruptionMode(cfg.corruption, cfg.corruption_sigma)
-    metrics = evaluate_policy(policy, eval_eps, RngStream(cfg.seed, _STREAM_EVAL),
-                              corruption)
+    metrics = evaluate_config(policy, cfg, eval_eps)
     record = RunRecord(
         config=cfg.to_dict(),
         metrics={TASK_NAME: {"success_rate": metrics.success_rate,
@@ -117,10 +128,7 @@ def run_pilot(configs, jobs: int = 1):
         if cfg.shared_fields() != shared:
             diff = [k for k, v in cfg.shared_fields().items() if shared[k] != v]
             raise ProtocolError(f"pilot configs diverge in shared fields: {diff}")
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_single, configs))
-    return [run_single(cfg) for cfg in configs]
+    return _run_all(configs, jobs)
 
 
 def pilot_configs(base: ExperimentConfig):
@@ -139,10 +147,21 @@ def run_ablation(kind: str, base: ExperimentConfig, jobs: int = 1):
         configs = [base.replace(arch="pi", sparse_k=k) for k in (0, 1, 2, 3)]
     else:
         raise ConfigError(f"unknown ablation kind {kind!r}; valid: {ABLATION_KINDS}")
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_single, configs))
-    return [run_single(cfg) for cfg in configs]
+    return _run_all(configs, jobs)
+
+
+def _run_all(configs, jobs: int):
+    """`run_single` over configs, in order, on up to `jobs` threads.
+
+    Threads, not processes: runs share one interpreter, so anything patched
+    on the package (timers, tracers) sees every run.  `run_single` is looked
+    up here at call time for the same reason."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return [run_single(cfg) for cfg in configs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(run_single, configs))
 
 
 # ------------------------------------------------------------------ tables

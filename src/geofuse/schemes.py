@@ -324,7 +324,7 @@ class SpatialForcing(FusionScheme):
 
     def build(self, store, rng):
         d, dv = self.mcfg.d, self.gcfg.d_vggt
-        self.k = int(self.opts.get("forcing_k", self.mcfg.n_layers // 2))
+        self.k = self.mcfg.n_layers // 2
         self.ln = norm_params(store, "scheme.sf.ln", d)
         self.w1 = store.new("scheme.sf.w1", init_matrix(rng, d, d))
         self.w2 = store.new("scheme.sf.w2", init_matrix(rng, d, dv))

@@ -242,18 +242,16 @@ class Tensor:
 
         return Tensor._make(y, (self,), bwd)
 
-    # -- fused row ops (numba-backed kernels) ------------------------------
+    # -- fused row ops (kernels.py) -----------------------------------------
 
     def softmax(self):
         """Softmax over the last axis."""
         shp = self.data.shape
-        x2 = np.ascontiguousarray(self.data.reshape(-1, shp[-1]))
-        y2 = kernels.softmax_fwd(x2)
+        y2 = kernels.softmax_fwd(self.data.reshape(-1, shp[-1]))
 
         def bwd(g):
             if self.requires_grad:
-                g2 = np.ascontiguousarray(g.reshape(-1, shp[-1]))
-                self._accum(kernels.softmax_bwd(y2, g2).reshape(shp))
+                self._accum(kernels.softmax_bwd(y2, g.reshape(-1, shp[-1])).reshape(shp))
 
         return Tensor._make(y2.reshape(shp), (self,), bwd)
 
@@ -309,12 +307,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"do not match last axis {d}"
         )
     shp = x.data.shape
-    x2 = np.ascontiguousarray(x.data.reshape(-1, d))
-    y2, xhat, inv = kernels.layernorm_fwd(x2, gain.data, bias.data, eps)
+    y2, xhat, inv = kernels.layernorm_fwd(x.data.reshape(-1, d), gain.data, bias.data, eps)
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.reshape(-1, d))
-        gx, ggain, gbias = kernels.layernorm_bwd(g2, xhat, inv, gain.data)
+        gx, ggain, gbias = kernels.layernorm_bwd(g.reshape(-1, d), xhat, inv, gain.data)
         x._maybe(g, gx.reshape(shp))
         gain._maybe(g, ggain)
         bias._maybe(g, gbias)
@@ -351,9 +347,6 @@ class ParamSet:
 
     def __getitem__(self, pid: str) -> Param:
         return self._by_id[pid]
-
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._by_id
 
     def __iter__(self):
         return iter(self._by_id.values())

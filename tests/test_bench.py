@@ -2,6 +2,8 @@
 dataset round-trips, corruption modes, and a short training smoke run."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_scenes, tiny_dit_cfg, tiny_flow_cfg, tiny_geo_cfg, tiny_mllm_cfg
 from geofuse.backbones import SceneSpec
@@ -23,7 +25,7 @@ from geofuse.bench import (
     target_action,
     train_policy,
 )
-from geofuse.errors import ConfigError, DomainError
+from geofuse.errors import ConfigError, DomainError, GeofuseError
 from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
 
@@ -125,6 +127,60 @@ def test_episode_line_round_trip(rng):
     assert ep.scene.instruction_id == back.scene.instruction_id
     np.testing.assert_array_equal(ep.target, back.target)
     assert ep.split == back.split
+
+
+@st.composite
+def episodes(draw):
+    """(episode, horizon, d_action) with arbitrary finite floats."""
+    n = draw(st.integers(1, 8))
+    horizon, d_action = draw(st.integers(1, 5)), draw(st.integers(4, 8))
+    unit = st.floats(0.0, 1.0)
+    pos = draw(st.lists(st.lists(unit, min_size=3, max_size=3), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    target = draw(st.lists(finite, min_size=horizon * d_action, max_size=horizon * d_action))
+    scene = SceneSpec(np.array(pos), ids, draw(st.integers(0, n - 1)))
+    ep = Episode(scene, np.array(target).reshape(horizon, d_action),
+                 draw(st.sampled_from(["train", "eval"])))
+    return ep, horizon, d_action
+
+
+@given(episodes())
+def test_episode_line_round_trip_is_exact(case):
+    ep, horizon, d_action = case
+    back = episode_from_line(episode_to_line(ep), horizon, d_action)
+    assert back.scene.object_positions.tobytes() == ep.scene.object_positions.tobytes()
+    assert back.scene.object_ids == ep.scene.object_ids
+    assert back.scene.instruction_id == ep.scene.instruction_id
+    assert back.target.tobytes() == ep.target.tobytes()
+    assert back.split == ep.split
+
+
+@given(episodes(), st.data())
+def test_truncated_episode_line_raises_typed_error(case, data):
+    ep, horizon, d_action = case
+    toks = episode_to_line(ep).split()
+    cut = data.draw(st.integers(0, len(toks) - 1))
+    with pytest.raises(GeofuseError):
+        episode_from_line(" ".join(toks[:cut]), horizon, d_action)
+
+
+def _not_a_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return True
+    return False
+
+
+@given(episodes(), st.data())
+def test_non_numeric_episode_token_raises_typed_error(case, data):
+    ep, horizon, d_action = case
+    toks = episode_to_line(ep).split()
+    i = data.draw(st.integers(1, len(toks) - 1))  # token 0 is the free-text split
+    toks[i] = data.draw(st.text("abcdefxyz_-+", min_size=1).filter(_not_a_number))
+    with pytest.raises(GeofuseError):
+        episode_from_line(" ".join(toks), horizon, d_action)
 
 
 def test_dataset_file_round_trip(tmp_path, rng):

@@ -1,9 +1,14 @@
 """Config parsing/round-trips and binary checkpoint integrity."""
+import functools
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geofuse.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
 from geofuse.config import ExperimentConfig
@@ -185,3 +190,30 @@ def test_checkpoint_header_readable_without_model(tmp_path):
     header, offset = read_header(path)
     assert header["config"] == cfg.to_dict()
     assert offset == 20 + len(json.dumps(header, sort_keys=True).encode())
+
+
+@functools.cache
+def _ckpt_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        return write_ckpt(Path(d))[2].read_bytes()
+
+
+@given(st.sets(st.sampled_from(["config", "params"]), min_size=1))
+def test_checkpoint_header_missing_key(keys):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.bin"
+        path.write_bytes(_ckpt_bytes())
+        _rewrite_header(path, lambda h: [h.pop(k) for k in keys])
+        with pytest.raises(CheckpointError, match="lacks a config or a param manifest"):
+            load_checkpoint(path)
+
+
+@given(st.data())
+def test_checkpoint_truncated_anywhere(data):
+    raw = _ckpt_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.bin"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

@@ -1,5 +1,6 @@
 """Runner orchestration (pilot, ablations, tables) and the CLI surface."""
 import csv
+import json
 
 import pytest
 
@@ -83,6 +84,29 @@ def test_pilot_rejects_divergent_protocol():
 def test_pilot_rejects_empty():
     with pytest.raises(ProtocolError):
         run_pilot([])
+
+
+def _same_runs(a, b):
+    return [(r.config, r.metrics, r.loss_curve, r.dataset_hash) for r in a] == \
+        [(r.config, r.metrics, r.loss_curve, r.dataset_hash) for r in b]
+
+
+def test_parallel_runs_match_serial():
+    configs = pilot_configs(tiny_cfg())[:3]
+    assert _same_runs(run_pilot(configs, jobs=2), run_pilot(configs, jobs=1))
+    assert _same_runs(run_ablation("sparse_depth", tiny_cfg(), jobs=2),
+                      run_ablation("sparse_depth", tiny_cfg(), jobs=1))
+
+
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="jobs"):
+        run_pilot(pilot_configs(tiny_cfg()), jobs=0)
+    with pytest.raises(ConfigError, match="jobs"):
+        run_ablation("corruption", tiny_cfg(), jobs=-1)
+    cfg_path = write_tiny_config(tmp_path)
+    assert cli.main(["pilot", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
+                     "--jobs", "0"]) == 1
+    assert "error: jobs" in capsys.readouterr().err
 
 
 def test_corruption_ablation_three_records():
@@ -198,6 +222,17 @@ def test_cli_eval_prints_metrics(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin")]) == 0
     text = capsys.readouterr().out
     assert "success_rate=" in text and "mean_l2_error=" in text
+
+
+def test_cli_eval_reproduces_record(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path, train_steps=20, eval_episodes=8)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    m = json.loads((out / "record.json").read_text())["metrics"]["reach"]
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin")]) == 0
+    assert capsys.readouterr().out.split()[:2] == [
+        f"success_rate={m['success_rate']:.4f}", f"mean_l2_error={m['mean_l2_error']:.4f}"]
 
 
 def test_cli_eval_bad_checkpoint_exits_1(tmp_path, capsys):

@@ -1,9 +1,8 @@
 """Numeric core: ops vs independent loop oracles, autograd vs central
-differences, kernel path equivalence, and rng determinism."""
+differences, and rng determinism."""
 import numpy as np
 import pytest
 
-from geofuse import kernels
 from geofuse.errors import NumericError, ShapeError
 from geofuse.nn import cosine_rows, cross_attention, grad_check, linear, mean_pool_seq, mse
 from geofuse.rng import RngStream
@@ -300,31 +299,6 @@ def test_param_set_rejects_duplicate_ids(rng):
     store.new("w", rng.normal((2, 2)))
     with pytest.raises(ShapeError):
         store.new("w", rng.normal((2, 2)))
-
-
-# ------------------------------------------------------------------ kernels
-
-def test_softmax_kernel_paths_agree(rng):
-    x = np.ascontiguousarray(rng.normal((7, 11), 3.0))
-    gy = np.ascontiguousarray(rng.normal((7, 11)))
-    y_np = kernels._softmax_fwd_np(x)
-    np.testing.assert_allclose(kernels.softmax_fwd(x), y_np, atol=1e-14)
-    np.testing.assert_allclose(kernels.softmax_bwd(y_np, gy),
-                               kernels._softmax_bwd_np(y_np, gy), atol=1e-14)
-
-
-def test_layernorm_kernel_paths_agree(rng):
-    x = np.ascontiguousarray(rng.normal((5, 9), 2.0))
-    gain = rng.normal((9,))
-    bias = rng.normal((9,))
-    gy = np.ascontiguousarray(rng.normal((5, 9)))
-    y_np, xhat_np, inv_np = kernels._layernorm_fwd_np(x, gain, bias, 1e-5)
-    y, xhat, inv = kernels.layernorm_fwd(x, gain, bias, 1e-5)
-    np.testing.assert_allclose(y, y_np, atol=1e-13)
-    got = kernels.layernorm_bwd(gy, xhat, inv, gain)
-    want = kernels._layernorm_bwd_np(gy, xhat_np, inv_np, gain)
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, atol=1e-13)
 
 
 # ------------------------------------------------------------------ rng
