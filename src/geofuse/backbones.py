@@ -18,41 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import CapacityError, ConfigError, DomainError, ShapeError
 from .nn import attention_params, cross_attention, init_matrix, layer_norm, linear, mlp, norm_params
 from .rng import RngStream
 from .tensor import ParamSet, Tensor, concat, embedding
 
-
-@dataclass
-class ToyMLLMConfig:
-    d: int = 32
-    n_layers: int = 4
-    heads: int = 4
-    l_max: int = 32
-    vocab_size: int = 64
-    mlp_mult: int = 4
-
-    def __post_init__(self):
-        if self.d % self.heads:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-
-
-@dataclass
-class GeoEncoderConfig:
-    n_patches: int = 8
-    d_vggt: int = 48
-    frozen: bool = True
-
-
-@dataclass
-class DiTConfig:
-    n_dit_layers: int = 4
-    d: int = 32
-    heads: int = 4
-    horizon: int = 4
-    d_action: int = 7
-    mlp_mult: int = 4
+MLP_RATIO = 4  # hidden width of every transformer MLP, in multiples of d
 
 
 @dataclass
@@ -139,23 +111,23 @@ def _batch_indices(scenes: list[SceneSpec]):
 class ToyMLLM:
     """Minimal pre-LN transformer exposing every layer's hidden states."""
 
-    def __init__(self, cfg: ToyMLLMConfig, store: ParamSet, rng: RngStream, prefix: str = "mllm"):
+    def __init__(self, cfg: ExperimentConfig, store: ParamSet, rng: RngStream):
         self.cfg = cfg
         self.layer_calls = 0  # test hook: each block must run exactly once per forward
         d = cfg.d
-        self.tok_embed = store.new(f"{prefix}.tok_embed", rng.normal((cfg.vocab_size, d), 0.5))
-        self.vis_embed = store.new(f"{prefix}.vis_embed", rng.normal((cfg.vocab_size, d), 0.5))
+        self.tok_embed = store.new("mllm.tok_embed", rng.normal((cfg.vocab_size, d), 0.5))
+        self.vis_embed = store.new("mllm.vis_embed", rng.normal((cfg.vocab_size, d), 0.5))
         self.pos_table = sinusoid_table(cfg.l_max, d)
         self.blocks = []
         for i in range(cfg.n_layers):
-            p = f"{prefix}.layer{i}"
+            p = f"mllm.layer{i}"
             self.blocks.append(
                 {
                     "ln1": norm_params(store, f"{p}.ln1", d),
                     "attn": attention_params(store, rng, f"{p}.attn", d),
                     "ln2": norm_params(store, f"{p}.ln2", d),
-                    "w1": store.new(f"{p}.mlp.w1", init_matrix(rng, d, d * cfg.mlp_mult)),
-                    "w2": store.new(f"{p}.mlp.w2", init_matrix(rng, d * cfg.mlp_mult, d)),
+                    "w1": store.new(f"{p}.mlp.w1", init_matrix(rng, d, d * MLP_RATIO)),
+                    "w2": store.new(f"{p}.mlp.w2", init_matrix(rng, d * MLP_RATIO, d)),
                 }
             )
 
@@ -207,13 +179,13 @@ class GeoEncoder:
 
     INIT_SEED = 1234  # parameters are a fixed function of this seed alone
 
-    def __init__(self, cfg: GeoEncoderConfig, store: ParamSet, prefix: str = "geo"):
+    def __init__(self, cfg: ExperimentConfig, store: ParamSet):
         self.cfg = cfg
         rng = RngStream(self.INIT_SEED, 0)
         w = rng.normal((3, cfg.d_vggt), 1.0)
         base = rng.normal((cfg.n_patches, cfg.d_vggt), 1.0)
-        self.w_embed = store.new(f"{prefix}.w_embed", w, trainable=not cfg.frozen)
-        self.base = store.new(f"{prefix}.base", base, trainable=not cfg.frozen)
+        self.w_embed = store.new("geo.w_embed", w, trainable=not cfg.freeze_geo)
+        self.base = store.new("geo.base", base, trainable=not cfg.freeze_geo)
 
     def forward(self, scenes: list[SceneSpec]) -> GeoTokens:
         n = scenes[0].n_objects
@@ -235,14 +207,14 @@ class GeoEncoder:
 class ActionDiT:
     """Flow-matching action expert: self-attn + cross-attn + MLP blocks."""
 
-    def __init__(self, cfg: DiTConfig, store: ParamSet, rng: RngStream, prefix: str = "dit"):
+    def __init__(self, cfg: ExperimentConfig, store: ParamSet, rng: RngStream):
         self.cfg = cfg
         d = cfg.d
-        self.in_proj = store.new(f"{prefix}.in_proj", init_matrix(rng, cfg.d_action, d))
+        self.in_proj = store.new("dit.in_proj", init_matrix(rng, cfg.d_action, d))
         self.pos_table = sinusoid_table(cfg.horizon, d)
         self.blocks = []
         for i in range(cfg.n_dit_layers):
-            p = f"{prefix}.block{i}"
+            p = f"dit.block{i}"
             self.blocks.append(
                 {
                     "ln_s": norm_params(store, f"{p}.ln_s", d),
@@ -250,12 +222,12 @@ class ActionDiT:
                     "ln_c": norm_params(store, f"{p}.ln_c", d),
                     "cross": attention_params(store, rng, f"{p}.cross", d),
                     "ln_m": norm_params(store, f"{p}.ln_m", d),
-                    "w1": store.new(f"{p}.mlp.w1", init_matrix(rng, d, d * cfg.mlp_mult)),
-                    "w2": store.new(f"{p}.mlp.w2", init_matrix(rng, d * cfg.mlp_mult, d)),
+                    "w1": store.new(f"{p}.mlp.w1", init_matrix(rng, d, d * MLP_RATIO)),
+                    "w2": store.new(f"{p}.mlp.w2", init_matrix(rng, d * MLP_RATIO, d)),
                 }
             )
-        self.ln_out = norm_params(store, f"{prefix}.ln_out", d)
-        self.out_proj = store.new(f"{prefix}.out_proj", init_matrix(rng, d, cfg.d_action))
+        self.ln_out = norm_params(store, "dit.ln_out", d)
+        self.out_proj = store.new("dit.out_proj", init_matrix(rng, d, cfg.d_action))
 
     def forward(self, noisy: Tensor, conditioning, tau, geo_branch=None) -> Tensor:
         """Predict the velocity field for a noisy action chunk.

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ConfigError, DomainError, TrainingError
 from .optim import AdaptiveOptimizer
 from .policy import FusionPolicy
@@ -30,18 +31,6 @@ class Episode:
     scene: SceneSpec
     target: np.ndarray  # T x d_a ground-truth chunk
     split: str = "train"
-
-
-@dataclass
-class CorruptionMode:
-    kind: str = "none"  # none | zeros | gaussian
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "zeros", "gaussian"):
-            raise ConfigError(f"unknown corruption mode {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise DomainError("gaussian corruption needs sigma > 0")
 
 
 @dataclass
@@ -75,12 +64,13 @@ def generate_episode(rng: RngStream, n_objects: int, n_patches: int = 8,
     return Episode(scene, target_action(scene, horizon, d_action), split)
 
 
-def corrupt_geo(tokens: np.ndarray, mode: CorruptionMode, rng: RngStream) -> np.ndarray:
-    if mode.kind == "none":
+def corrupt_geo(tokens: np.ndarray, cfg: ExperimentConfig, rng: RngStream) -> np.ndarray:
+    """Geometric tokens as `cfg.corruption` leaves them."""
+    if cfg.corruption == "none":
         return tokens
-    if mode.kind == "zeros":
+    if cfg.corruption == "zeros":
         return np.zeros_like(tokens)
-    return rng.normal(tokens.shape, mode.sigma)
+    return rng.normal(tokens.shape, cfg.corruption_sigma)
 
 
 # ------------------------------------------------------------ dataset I/O
@@ -152,17 +142,7 @@ def make_dataset(rng: RngStream, n_episodes: int, n_objects: int,
 
 # ------------------------------------------------------------ train / eval
 
-@dataclass
-class TrainConfig:
-    steps: int = 2000
-    batch_size: int = 16
-    lr_backbone: float = 1e-3
-    lr_fusion: float = 1e-2
-    warmup_frac: float = 0.05
-    beta1: float = 0.0
-
-
-def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
+def train_policy(policy: FusionPolicy, episodes, cfg: ExperimentConfig,
                  rng: RngStream) -> list[float]:
     """Train all trainable params; returns the per-step loss curve.
 
@@ -172,7 +152,7 @@ def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
     backbone, fusion = policy.param_groups()
     opt = AdaptiveOptimizer(
         [(backbone, cfg.lr_backbone), (fusion, cfg.lr_fusion)],
-        total_steps=cfg.steps, warmup_frac=cfg.warmup_frac,
+        total_steps=cfg.train_steps, warmup_frac=cfg.warmup_frac,
         beta1=cfg.beta1,
     )
     data_rng = rng.derive(101)
@@ -181,7 +161,7 @@ def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
     n = len(episodes)
     if n == 0:
         raise ConfigError("empty training dataset")
-    for step in range(cfg.steps):
+    for step in range(cfg.train_steps):
         idx = data_rng.integers(0, n, size=cfg.batch_size)
         scenes = [episodes[i].scene for i in idx]
         actions = np.stack([episodes[i].target for i in idx])
@@ -197,19 +177,19 @@ def train_policy(policy: FusionPolicy, episodes, cfg: TrainConfig,
 
 
 def evaluate_policy(policy: FusionPolicy, episodes, rng: RngStream,
-                    corruption: CorruptionMode | None = None) -> Metrics:
+                    cfg: ExperimentConfig) -> Metrics:
+    """Score `policy` on `episodes` under `cfg.corruption`."""
     if not episodes:
         raise ConfigError("no evaluation episodes")
-    corruption = corruption or CorruptionMode("none")
     corrupt_rng = rng.derive(7)
 
     def corrupter(tokens):
-        return corrupt_geo(tokens, corruption, corrupt_rng)
+        return corrupt_geo(tokens, cfg, corrupt_rng)
 
     scenes = [ep.scene for ep in episodes]
     targets = np.stack([ep.target for ep in episodes])
     pred = policy.predict(scenes, rng.derive(8),
-                          corrupter if corruption.kind != "none" else None)
+                          corrupter if cfg.corruption != "none" else None)
     err = pred - targets
     max_err = np.abs(err).reshape(len(episodes), -1).max(axis=1)
     l2 = np.sqrt((err**2).reshape(len(episodes), -1).sum(axis=1))

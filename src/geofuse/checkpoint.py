@@ -56,7 +56,17 @@ def read_header(path) -> tuple[dict, int]:
         raise CheckpointError("corrupt checkpoint header") from exc
     if not isinstance(header, dict) or not {"config", "params"} <= header.keys():
         raise CheckpointError("checkpoint header lacks a config or a param manifest")
+    if not isinstance(header["config"], dict):
+        raise CheckpointError("checkpoint config is not a key/value map")
+    if not isinstance(header["params"], list) or not all(map(_is_entry, header["params"])):
+        raise CheckpointError("checkpoint param manifest needs a list of {id, shape} entries")
     return header, offset
+
+
+def _is_entry(m) -> bool:
+    return (isinstance(m, dict) and isinstance(m.get("id"), str)
+            and isinstance(m.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in m["shape"]))
 
 
 def load_checkpoint(path):

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import CORRUPTIONS, ExperimentConfig
 from .errors import GeofuseError
 from .runner import (
     ABLATION_KINDS,
@@ -111,22 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="gated geometric fusion lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
+
+    def multi_run(p):
+        common(p)
         p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
         p.add_argument("--jobs", type=int, default=1)
 
-    common(sub.add_parser("pilot", help="train+eval the base model and all nine schemes"))
+    multi_run(sub.add_parser("pilot", help="train+eval the base model and all nine schemes"))
     p = sub.add_parser("ablate", help="run one ablation axis")
     p.add_argument("--kind", choices=ABLATION_KINDS, required=True)
-    common(p)
+    multi_run(p)
     common(sub.add_parser("train", help="train a single configuration"))
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--corruption", choices=("none", "zeros", "gaussian"))
+    p.add_argument("--corruption", choices=CORRUPTIONS)
     p = sub.add_parser("report", help="re-emit tables from saved records")
     p.add_argument("--records", required=True, help="directory of record*.json files")
     p.add_argument("--out")

@@ -1,8 +1,11 @@
 """Flat key=value experiment configuration.
 
-Every field has a typed default; unknown keys are rejected so stale
-config files fail loudly.  `#` starts a comment; blank lines are ignored.
-The serialized form round-trips exactly (repr floats).
+`ExperimentConfig` is the one place a hyperparameter is named, defaulted
+and validated: every component reads its fields directly.  Unknown keys
+are rejected so stale config files fail loudly, and every value is type-
+and range-checked on construction, so a bad file or checkpoint header
+fails before any model is built.  `#` starts a comment; blank lines are
+ignored.  The serialized form round-trips exactly (repr floats).
 """
 from __future__ import annotations
 
@@ -10,6 +13,24 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
+
+SCHEME_IDS = (
+    "none",
+    "ae_fusion",
+    "early_fusion",
+    "concat_fusion",
+    "crossattn_fusion",
+    "gated_fusion",
+    "threed_tokens",
+    "midlayer_injection",
+    "spatial_forcing",
+    "visual_fusion",
+)
+ARCHS = ("groot", "pi")
+SPARSE_PHASES = ("first", "last")
+CORRUPTIONS = ("none", "zeros", "gaussian")
+
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 @dataclass
@@ -56,6 +77,34 @@ class ExperimentConfig:
 
     # fields that may legitimately differ between pilot runs
     PILOT_FREE_FIELDS = ("scheme",)
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _check_type(f.name, getattr(self, f.name), f.type))
+        if self.scheme not in SCHEME_IDS:
+            raise ConfigError(
+                f"unknown fusion scheme {self.scheme!r}; valid ids: {', '.join(SCHEME_IDS)}"
+            )
+        if self.arch not in ARCHS:
+            raise ConfigError(f"unknown architecture {self.arch!r}; valid: {', '.join(ARCHS)}")
+        if self.sparse_phase not in SPARSE_PHASES:
+            raise ConfigError(f"unknown schedule phase {self.sparse_phase!r}")
+        if self.sparse_k < 0:
+            raise ConfigError(f"sparse_k must be >= 0, got {self.sparse_k}")
+        if self.corruption not in CORRUPTIONS:
+            raise ConfigError(f"unknown corruption mode {self.corruption!r}")
+        # `not x > 0` also rejects NaN
+        if self.corruption == "gaussian" and not self.corruption_sigma > 0:
+            raise ConfigError("gaussian corruption needs corruption_sigma > 0")
+        if self.heads < 1 or self.d % self.heads:
+            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
+        if not (self.tau_alpha > 0 and self.tau_beta > 0):
+            raise ConfigError("Beta shape parameters tau_alpha, tau_beta must be positive")
+        if self.euler_steps < 1:
+            raise ConfigError("need at least one integration step (euler_steps >= 1)")
+        if not -1 <= self.midlayer_k < self.n_layers:
+            raise ConfigError(f"mid-layer index {self.midlayer_k} out of range "
+                              f"for {self.n_layers} layers")
 
     @classmethod
     def from_dict(cls, overrides: dict) -> "ExperimentConfig":
@@ -112,20 +161,34 @@ class ExperimentConfig:
 
 
 def _coerce(key, raw, ftype):
-    if not isinstance(raw, str):
+    """Parse a string value as the field's type; other values pass on to
+    `_check_type`."""
+    if not isinstance(raw, str) or ftype == "str":
         return raw
-    ftype = str(ftype)
     try:
-        if "bool" in ftype:
+        if ftype == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if "int" in ftype:
+        if ftype == "int":
             return int(raw)
-        if "float" in ftype:
-            return float(raw)
-        return raw
+        return float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {ftype}") from exc
+
+
+def _check_type(key, value, ftype):
+    """`value` if it has the field's type; an int is widened for a float field."""
+    want = _TYPES[ftype]
+    # bool is an int subclass: it fills a bool field and nothing else
+    if isinstance(value, bool) == (want is bool):
+        if want is float and isinstance(value, int):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        elif isinstance(value, want):
+            return value
+    raise ConfigError(f"config key {key!r}: expected {ftype}, got {value!r}")

@@ -8,33 +8,18 @@ Euler steps on a uniform grid starting at tau=0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .config import ExperimentConfig
+from .errors import NumericError, ShapeError
 from .nn import mse
 from .rng import RngStream
 from .tensor import Tensor
 
 
-@dataclass
-class FlowConfig:
-    alpha: float = 1.0
-    beta: float = 1.0
-    n_euler_steps: int = 10
-    noise_std: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("Beta shape parameters must be positive")
-        if self.n_euler_steps < 1:
-            raise ConfigError("need at least one integration step")
-
-
-def sample_tau(rng: RngStream, cfg: FlowConfig, size=None):
-    """Beta-distributed flow time; per-sample when size is given."""
-    return rng.beta(cfg.alpha, cfg.beta, size=size)
+def sample_tau(rng: RngStream, cfg: ExperimentConfig, size=None):
+    """Beta(tau_alpha, tau_beta) flow time; per-sample when size is given."""
+    return rng.beta(cfg.tau_alpha, cfg.tau_beta, size=size)
 
 
 def fm_training_targets(actions: np.ndarray, eps: np.ndarray, tau):
@@ -54,13 +39,14 @@ def fm_loss(v_pred: Tensor, v_target: np.ndarray) -> Tensor:
     return mse(v_pred, Tensor(v_target))
 
 
-def euler_integrate(velocity_fn, shape, rng: RngStream, cfg: FlowConfig) -> np.ndarray:
+def euler_integrate(velocity_fn, shape, rng: RngStream, cfg: ExperimentConfig) -> np.ndarray:
     """Integrate from noise: A <- A + (1/N) v(A, tau) for tau = 0, 1/N, ...
+    with N = cfg.euler_steps.
 
     velocity_fn(a: ndarray, tau: float) -> ndarray of the same shape.
     """
     a = rng.normal(shape, cfg.noise_std)
-    n = cfg.n_euler_steps
+    n = cfg.euler_steps
     for i in range(n):
         v = np.asarray(velocity_fn(a, i / n))
         a = a + v / n

@@ -11,15 +11,17 @@ import math
 
 import numpy as np
 
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8     # denominator floor
+
 
 class AdaptiveOptimizer:
-    def __init__(self, groups, total_steps: int, warmup_frac: float = 0.05,
-                 beta1: float = 0.0, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, groups, total_steps: int, warmup_frac: float, beta1: float):
         """groups: list of (params, peak_lr)."""
         self.groups = [(list(params), float(lr)) for params, lr in groups]
         self.total_steps = total_steps
         self.warmup_steps = max(1, int(warmup_frac * total_steps))
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1 = beta1
         self.t = 0
         self._m = {}
         self._v = {}
@@ -33,7 +35,7 @@ class AdaptiveOptimizer:
     def step(self):
         self.t += 1
         scale = self.lr_scale()
-        bc2 = 1.0 - self.beta2**self.t
+        bc2 = 1.0 - BETA2**self.t
         bc1 = 1.0 - self.beta1**self.t if self.beta1 > 0 else 1.0
         for params, lr in self.groups:
             for p in params:
@@ -46,8 +48,8 @@ class AdaptiveOptimizer:
                 if v is None:
                     v = np.zeros_like(p.value.data)
                     self._v[p.id] = v
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
                 if self.beta1 > 0:
                     m = self._m.get(p.id)
                     if m is None:
@@ -58,4 +60,4 @@ class AdaptiveOptimizer:
                     upd = m / bc1
                 else:
                     upd = g
-                p.value.data -= scale * lr * upd / (np.sqrt(v / bc2) + self.eps)
+                p.value.data -= scale * lr * upd / (np.sqrt(v / bc2) + EPS)

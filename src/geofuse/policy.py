@@ -11,18 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backbones import (
-    ActionDiT,
-    DiTConfig,
-    GeoEncoder,
-    GeoEncoderConfig,
-    GeoTokens,
-    MLLMOutput,
-    ToyMLLM,
-    ToyMLLMConfig,
-)
+from .backbones import ActionDiT, GeoEncoder, GeoTokens, MLLMOutput, ToyMLLM
+from .config import ExperimentConfig
 from .errors import SchemeContractError
-from .flow import FlowConfig, euler_integrate, fm_loss, fm_training_targets, sample_tau
+from .flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
 from .gating import sparse_layer_schedule
 from .rng import RngStream
 from .schemes import make_scheme
@@ -30,38 +22,20 @@ from .tensor import ParamSet, Tensor
 
 
 class FusionPolicy:
-    def __init__(
-        self,
-        scheme_id: str,
-        arch: str = "groot",
-        mllm_cfg: ToyMLLMConfig | None = None,
-        geo_cfg: GeoEncoderConfig | None = None,
-        dit_cfg: DiTConfig | None = None,
-        flow_cfg: FlowConfig | None = None,
-        rng: RngStream | None = None,
-        with_geo_encoder: bool = True,
-        sparse_k: int = 0,
-        sparse_phase: str = "first",
-        scheme_opts: dict | None = None,
-    ):
-        if arch not in ("groot", "pi"):
-            raise SchemeContractError(f"unknown architecture {arch!r}")
-        self.arch = arch
-        self.mcfg = mllm_cfg or ToyMLLMConfig()
-        self.gcfg = geo_cfg or GeoEncoderConfig()
-        self.dcfg = dit_cfg or DiTConfig()
-        self.fcfg = flow_cfg or FlowConfig()
-        rng = rng or RngStream(0)
+    def __init__(self, cfg: ExperimentConfig, rng: RngStream):
+        """Every component reads `cfg`; `rng` seeds every initial weight.
 
+        Setting `geo_encoder = None` models a policy deployed without
+        geometry; setting `scheme.null_geo = True` nulls the scheme."""
+        self.cfg = cfg
         self.store = ParamSet()
-        self.mllm = ToyMLLM(self.mcfg, self.store, rng.derive(1))
-        self.geo_encoder = GeoEncoder(self.gcfg, self.store) if with_geo_encoder else None
-        self.dit = ActionDiT(self.dcfg, self.store, rng.derive(2))
-        self.scheme = make_scheme(scheme_id, self.store, rng.derive(3),
-                                  self.mcfg, self.gcfg, self.dcfg, arch, scheme_opts)
+        self.mllm = ToyMLLM(cfg, self.store, rng.derive(1))
+        self.geo_encoder = GeoEncoder(cfg, self.store)
+        self.dit = ActionDiT(cfg, self.store, rng.derive(2))
+        self.scheme = make_scheme(cfg, self.store, rng.derive(3))
         self.schedule = (
-            sparse_layer_schedule(self.dcfg.n_dit_layers, sparse_k, sparse_phase)
-            if arch == "pi" else None
+            sparse_layer_schedule(cfg.n_dit_layers, cfg.sparse_k, cfg.sparse_phase)
+            if cfg.arch == "pi" else None
         )
 
     # -- parameter bookkeeping --------------------------------------------
@@ -100,20 +74,18 @@ class FusionPolicy:
         emb, instr_len, n_vis = self.mllm.embed(scenes)
         meta = {"instr_len": instr_len, "n_visual": n_vis}
         emb = self.scheme.modify_input(emb, meta, geo)
-        hook = self.scheme.mid_hook(geo) if "mllm_mid_layer" in self.scheme.hooks else None
-        per_layer = self.mllm.run_layers(emb, hook)
+        per_layer = self.mllm.run_layers(emb, self.scheme.mid_hook(geo))
         mllm_out = MLLMOutput(per_layer, instr_len, n_vis)
         cond = self.scheme.conditioning(mllm_out, geo, self.schedule)
-        branch = self.scheme.geo_branch(geo) if "dit_block" in self.scheme.hooks else None
-        return cond, branch, mllm_out
+        return cond, self.scheme.geo_branch(geo), mllm_out
 
     # -- training objective ------------------------------------------------
 
     def loss(self, scenes, actions: np.ndarray, rng: RngStream):
         """Flow-matching loss plus any scheme alignment terms."""
         b = len(scenes)
-        tau = sample_tau(rng, self.fcfg, size=b)
-        eps = rng.normal(actions.shape, self.fcfg.noise_std)
+        tau = sample_tau(rng, self.cfg, size=b)
+        eps = rng.normal(actions.shape, self.cfg.noise_std)
         a_tau, v_target = fm_training_targets(actions, eps, tau)
         geo = self.geo_tokens(scenes, training=True)
         cond, branch, mllm_out = self.conditioning(scenes, geo)
@@ -121,12 +93,11 @@ class FusionPolicy:
         action_loss = fm_loss(v_pred, v_target)
         parts = {"action": action_loss.item()}
         total = action_loss
-        if "loss_terms" in self.scheme.hooks:
-            aux = self.scheme.aux_loss(mllm_out, geo)
-            if aux is not None:
-                weight, term = aux
-                parts["align"] = term.item()
-                total = total + weight * term
+        aux = self.scheme.aux_loss(mllm_out, geo)
+        if aux is not None:
+            weight, term = aux
+            parts["align"] = term.item()
+            total = total + weight * term
         return total, parts
 
     # -- inference ---------------------------------------------------------
@@ -135,9 +106,9 @@ class FusionPolicy:
         """Sample an action chunk per scene by integrating the velocity field."""
         geo = self.geo_tokens(scenes, training=False, corruption=corruption)
         cond, branch, _ = self.conditioning(scenes, geo)
-        shape = (len(scenes), self.dcfg.horizon, self.dcfg.d_action)
+        shape = (len(scenes), self.cfg.horizon, self.cfg.d_action)
 
         def vel(a, tau):
             return self.dit.forward(Tensor(a), cond, tau, geo_branch=branch).data
 
-        return euler_integrate(vel, shape, rng, self.fcfg)
+        return euler_integrate(vel, shape, rng, self.cfg)

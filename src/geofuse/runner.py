@@ -7,21 +7,11 @@ import json
 import time
 from dataclasses import dataclass
 
-from .backbones import DiTConfig, GeoEncoderConfig, ToyMLLMConfig
-from .bench import (
-    CorruptionMode,
-    TrainConfig,
-    dataset_hash,
-    evaluate_policy,
-    make_dataset,
-    train_policy,
-)
-from .config import ExperimentConfig
+from .bench import dataset_hash, evaluate_policy, make_dataset, train_policy
+from .config import CORRUPTIONS, SCHEME_IDS, ExperimentConfig
 from .errors import ConfigError, ProtocolError
-from .flow import FlowConfig
 from .policy import FusionPolicy
 from .rng import RngStream
-from .schemes import SCHEME_IDS
 
 TASK_NAME = "reach"
 
@@ -33,23 +23,7 @@ _STREAM_EVAL = 4
 
 
 def build_policy(cfg: ExperimentConfig) -> FusionPolicy:
-    mcfg = ToyMLLMConfig(d=cfg.d, n_layers=cfg.n_layers, heads=cfg.heads,
-                         l_max=cfg.l_max, vocab_size=cfg.vocab_size)
-    gcfg = GeoEncoderConfig(n_patches=cfg.n_patches, d_vggt=cfg.d_vggt,
-                            frozen=cfg.freeze_geo)
-    dcfg = DiTConfig(n_dit_layers=cfg.n_dit_layers, d=cfg.d, heads=cfg.heads,
-                     horizon=cfg.horizon, d_action=cfg.d_action)
-    fcfg = FlowConfig(alpha=cfg.tau_alpha, beta=cfg.tau_beta,
-                      n_euler_steps=cfg.euler_steps, noise_std=cfg.noise_std)
-    opts = {"align_weight": cfg.align_weight, "forcing_weight": cfg.forcing_weight}
-    if cfg.midlayer_k >= 0:
-        opts["midlayer_k"] = cfg.midlayer_k
-    return FusionPolicy(
-        cfg.scheme, cfg.arch, mcfg, gcfg, dcfg, fcfg,
-        rng=RngStream(cfg.seed, _STREAM_INIT),
-        sparse_k=cfg.sparse_k, sparse_phase=cfg.sparse_phase,
-        scheme_opts=opts,
-    )
+    return FusionPolicy(cfg, RngStream(cfg.seed, _STREAM_INIT))
 
 
 def build_datasets(cfg: ExperimentConfig):
@@ -70,8 +44,7 @@ def build_eval_dataset(cfg: ExperimentConfig):
 
 def evaluate_config(policy: FusionPolicy, cfg: ExperimentConfig, episodes):
     """Score `policy` on `episodes` with the config's eval stream and corruption."""
-    return evaluate_policy(policy, episodes, RngStream(cfg.seed, _STREAM_EVAL),
-                           CorruptionMode(cfg.corruption, cfg.corruption_sigma))
+    return evaluate_policy(policy, episodes, RngStream(cfg.seed, _STREAM_EVAL), cfg)
 
 
 @dataclass
@@ -102,10 +75,7 @@ def run_single(cfg: ExperimentConfig, return_policy: bool = False):
     t0 = time.perf_counter()
     policy = build_policy(cfg)
     train_eps, eval_eps = build_datasets(cfg)
-    tcfg = TrainConfig(steps=cfg.train_steps, batch_size=cfg.batch_size,
-                       lr_backbone=cfg.lr_backbone, lr_fusion=cfg.lr_fusion,
-                       warmup_frac=cfg.warmup_frac, beta1=cfg.beta1)
-    curve = train_policy(policy, train_eps, tcfg, RngStream(cfg.seed, _STREAM_TRAIN))
+    curve = train_policy(policy, train_eps, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
     metrics = evaluate_config(policy, cfg, eval_eps)
     record = RunRecord(
         config=cfg.to_dict(),
@@ -142,7 +112,7 @@ def run_ablation(kind: str, base: ExperimentConfig, jobs: int = 1):
     if kind == "frozen_vs_trainable":
         configs = [base.replace(freeze_geo=f) for f in (True, False)]
     elif kind == "corruption":
-        configs = [base.replace(corruption=c) for c in ("none", "zeros", "gaussian")]
+        configs = [base.replace(corruption=c) for c in CORRUPTIONS]
     elif kind == "sparse_depth":
         configs = [base.replace(arch="pi", sparse_k=k) for k in (0, 1, 2, 3)]
     else:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .backbones import GeoTokens, MLLMOutput, sinusoid_table
-from .errors import ConfigError, SchemeContractError, ShapeError
+from .config import SCHEME_IDS, ExperimentConfig  # noqa: F401 (re-exported beside the registry)
+from .errors import SchemeContractError, ShapeError
 from .gating import (
     build_conditioning,
     fuse_single,
@@ -25,19 +26,6 @@ from .gating import (
 from .nn import attention_params, cross_attention, expand_seq, init_matrix, layer_norm, linear, norm_params, cosine_rows
 from .tensor import ParamSet, Tensor, concat
 
-SCHEME_IDS = (
-    "none",
-    "ae_fusion",
-    "early_fusion",
-    "concat_fusion",
-    "crossattn_fusion",
-    "gated_fusion",
-    "threed_tokens",
-    "midlayer_injection",
-    "spatial_forcing",
-    "visual_fusion",
-)
-
 _REGISTRY: dict[str, type] = {}
 
 
@@ -46,27 +34,21 @@ def register(cls):
     return cls
 
 
-def make_scheme(scheme_id: str, store: ParamSet, rng, mcfg, gcfg, dcfg, arch: str, opts=None):
-    if scheme_id not in _REGISTRY:
-        raise ConfigError(
-            f"unknown fusion scheme {scheme_id!r}; valid ids: {', '.join(SCHEME_IDS)}"
-        )
-    return _REGISTRY[scheme_id](store, rng, mcfg, gcfg, dcfg, arch, opts or {})
+def make_scheme(cfg: ExperimentConfig, store: ParamSet, rng):
+    """Build the scheme `cfg.scheme` names (validated by the config)."""
+    return _REGISTRY[cfg.scheme](cfg, store, rng)
 
 
 class FusionScheme:
     """Base bundle: no geometry, conditioning is the raw semantic stream."""
 
     id = "none"
-    hooks: frozenset = frozenset()
     inference_geo_required = False
     training_geo_required = False
+    null_geo = False  # set on an instance to collapse it to the base model
 
-    def __init__(self, store, rng, mcfg, gcfg, dcfg, arch, opts):
-        self.mcfg, self.gcfg, self.dcfg = mcfg, gcfg, dcfg
-        self.arch = arch
-        self.null_geo = bool(opts.get("null_geo", False))
-        self.opts = opts
+    def __init__(self, cfg: ExperimentConfig, store, rng):
+        self.cfg = cfg
         self.build(store, rng)
 
     def build(self, store, rng):
@@ -87,15 +69,14 @@ class FusionScheme:
         return None
 
     def conditioning(self, mllm_out: MLLMOutput, geo, schedule=None):
-        if self.arch == "pi":
-            return [build_conditioning(h, None).tokens
-                    for h in mllm_out.per_layer[-self.dcfg.n_dit_layers:]]
+        if self.cfg.arch == "pi":
+            return self._pi_layers(mllm_out)
         return mllm_out.final
 
     # -- helpers ------------------------------------------------------------
 
     def _pi_layers(self, mllm_out: MLLMOutput):
-        return mllm_out.per_layer[-self.dcfg.n_dit_layers:]
+        return mllm_out.per_layer[-self.cfg.n_dit_layers:]
 
     def _need(self, geo) -> GeoTokens:
         if geo is None:
@@ -131,16 +112,15 @@ class AEFusion(FusionScheme):
     """Parallel cross-attention over projected geometry inside every action block."""
 
     id = "ae_fusion"
-    hooks = frozenset({"dit_block"})
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.mcfg.d, self.gcfg.d_vggt
+        d, dv = self.cfg.d, self.cfg.d_vggt
         self.w_proj = store.new("scheme.ae.w_proj", init_matrix(rng, dv, d))
         self.block_params = [
             attention_params(store, rng, f"scheme.ae.block{i}", d)
-            for i in range(self.dcfg.n_dit_layers)
+            for i in range(self.cfg.n_dit_layers)
         ]
 
     def geo_branch(self, geo):
@@ -153,13 +133,12 @@ class EarlyFusion(FusionScheme):
     """Projected geometry tokens appended to the backbone input sequence."""
 
     id = "early_fusion"
-    hooks = frozenset({"mllm_input"})
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
         self.w_proj = store.new("scheme.early.w_proj",
-                                init_matrix(rng, self.gcfg.d_vggt, self.mcfg.d))
+                                init_matrix(rng, self.cfg.d_vggt, self.cfg.d))
 
     def modify_input(self, emb, meta, geo):
         if self.null_geo:
@@ -173,13 +152,12 @@ class ConcatFusion(FusionScheme):
     """Gate-mixed geometry concatenated onto the semantic output."""
 
     id = "concat_fusion"
-    hooks = frozenset({"mllm_output"})
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
         self.mixer = GateMixer(store, rng, "scheme.concat.mixer",
-                               self.gcfg.d_vggt, self.mcfg.d)
+                               self.cfg.d_vggt, self.cfg.d)
 
     def _geo_tokens(self, geo, h):
         return self.mixer(self._need(geo))
@@ -187,7 +165,7 @@ class ConcatFusion(FusionScheme):
     def conditioning(self, mllm_out, geo, schedule=None):
         if self.null_geo:
             return super().conditioning(mllm_out, geo, schedule)
-        if self.arch == "pi":
+        if self.cfg.arch == "pi":
             return [build_conditioning(h, self._geo_tokens(geo, h)).tokens
                     for h in self._pi_layers(mllm_out)]
         return build_conditioning(mllm_out.final,
@@ -199,16 +177,15 @@ class CrossAttnFusion(ConcatFusion):
     """Like concat fusion, with a residual cross-attention refinement first."""
 
     id = "crossattn_fusion"
-    hooks = frozenset({"mllm_output"})
 
     def build(self, store, rng):
         super().build(store, rng)
-        self.attn = attention_params(store, rng, "scheme.crossattn.attn", self.mcfg.d)
+        self.attn = attention_params(store, rng, "scheme.crossattn.attn", self.cfg.d)
 
     def _geo_tokens(self, geo, h):
         f_geo = self.mixer(self._need(geo))
         return cross_attention(f_geo, h, self.attn["wq"], self.attn["wk"],
-                               self.attn["wv"], self.attn["wo"], self.mcfg.heads) + f_geo
+                               self.attn["wv"], self.attn["wo"], self.cfg.heads) + f_geo
 
 
 @register
@@ -216,15 +193,14 @@ class GatedFusion(FusionScheme):
     """Semantic-conditioned gated blending of geometry (the headline module)."""
 
     id = "gated_fusion"
-    hooks = frozenset({"mllm_output"})
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.mcfg.d, self.gcfg.d_vggt
-        if self.arch == "pi":
+        d, dv = self.cfg.d, self.cfg.d_vggt
+        if self.cfg.arch == "pi":
             self.params = init_layerwise_params(store, rng, "scheme.gated", dv, d,
-                                                self.dcfg.n_dit_layers)
+                                                self.cfg.n_dit_layers)
         else:
             self.params = init_threedmix_params(store, rng, "scheme.gated", dv, d)
 
@@ -232,7 +208,7 @@ class GatedFusion(FusionScheme):
         if self.null_geo:
             return super().conditioning(mllm_out, geo, schedule)
         geo = self._need(geo)
-        if self.arch == "pi":
+        if self.cfg.arch == "pi":
             seqs = layerwise_fuse(self._pi_layers(mllm_out), geo.tokens,
                                   self.params, schedule)
             return [s.tokens for s in seqs]
@@ -244,16 +220,14 @@ class ThreeDTokens(FusionScheme):
     """Learnable special token supervised to carry geometry; geometry-free inference."""
 
     id = "threed_tokens"
-    hooks = frozenset({"mllm_input", "loss_terms"})
     inference_geo_required = False
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.mcfg.d, self.gcfg.d_vggt
+        d, dv = self.cfg.d, self.cfg.d_vggt
         self.token = store.new("scheme.tok3d.embed", rng.normal((1, 1, d), 0.5))
         self.w_align = store.new("scheme.tok3d.w_align", init_matrix(rng, d, d))
         self.w_proj = store.new("scheme.tok3d.w_proj", init_matrix(rng, dv, d))
-        self.weight = float(self.opts.get("align_weight", 0.1))
 
     def modify_input(self, emb, meta, geo):
         if self.null_geo:
@@ -270,7 +244,7 @@ class ThreeDTokens(FusionScheme):
         h_tok = mllm_out.final[:, -1, :]  # the appended special token's state
         pooled = geo.tokens.mean(axis=1)
         cos = cosine_rows(linear(h_tok, self.w_align), linear(pooled, self.w_proj))
-        return self.weight, (1.0 - cos).mean()
+        return self.cfg.align_weight, (1.0 - cos).mean()
 
 
 @register
@@ -281,15 +255,12 @@ class MidLayerInjection(FusionScheme):
     the base model."""
 
     id = "midlayer_injection"
-    hooks = frozenset({"mllm_mid_layer"})
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.mcfg.d, self.gcfg.d_vggt
-        self.k = int(self.opts.get("midlayer_k", self.mcfg.n_layers // 2))
-        if not 0 <= self.k < self.mcfg.n_layers:
-            raise ConfigError(f"mid-layer index {self.k} out of range")
+        d, dv = self.cfg.d, self.cfg.d_vggt
+        self.k = self.cfg.midlayer_k if self.cfg.midlayer_k >= 0 else self.cfg.n_layers // 2
         self.w_proj = store.new("scheme.mid.w_proj", init_matrix(rng, dv, d))
         self.ln = norm_params(store, "scheme.mid.ln", d)
         self.attn = attention_params(store, rng, "scheme.mid.attn", d)
@@ -304,7 +275,7 @@ class MidLayerInjection(FusionScheme):
                 return h
             hn = layer_norm(h, self.ln["gain"].value, self.ln["bias"].value)
             upd = cross_attention(hn, f_geo, self.attn["wq"], self.attn["wk"],
-                                  self.attn["wv"], self.attn["wo"], self.mcfg.heads)
+                                  self.attn["wv"], self.attn["wo"], self.cfg.heads)
             return h + self.alpha.value * upd
 
         return hook
@@ -318,18 +289,16 @@ class SpatialForcing(FusionScheme):
     projector exist only inside the loss term."""
 
     id = "spatial_forcing"
-    hooks = frozenset({"loss_terms"})
     inference_geo_required = False
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.mcfg.d, self.gcfg.d_vggt
-        self.k = self.mcfg.n_layers // 2
+        d, dv = self.cfg.d, self.cfg.d_vggt
+        self.k = self.cfg.n_layers // 2
         self.ln = norm_params(store, "scheme.sf.ln", d)
         self.w1 = store.new("scheme.sf.w1", init_matrix(rng, d, d))
         self.w2 = store.new("scheme.sf.w2", init_matrix(rng, d, dv))
-        self.e_pos = sinusoid_table(self.gcfg.n_patches, dv)
-        self.weight = float(self.opts.get("forcing_weight", 0.1))
+        self.e_pos = sinusoid_table(self.cfg.n_patches, dv)
 
     def aux_loss(self, mllm_out, geo):
         if self.null_geo:
@@ -345,7 +314,7 @@ class SpatialForcing(FusionScheme):
                                         self.ln["bias"].value), self.w1).gelu(), self.w2)
         target = Tensor(geo.tokens.data + self.e_pos[:n])
         cos = cosine_rows(proj, target)
-        return self.weight, -cos.mean()
+        return self.cfg.forcing_weight, -cos.mean()
 
 
 @register
@@ -353,12 +322,11 @@ class VisualFusion(FusionScheme):
     """Enrich the visual input tokens by attending to geometry pre-backbone."""
 
     id = "visual_fusion"
-    hooks = frozenset({"mllm_input"})
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.mcfg.d, self.gcfg.d_vggt
+        d, dv = self.cfg.d, self.cfg.d_vggt
         self.attn = attention_params(store, rng, "scheme.vf.attn", d, d_kv=dv)
         self.ln = norm_params(store, "scheme.vf.ln", d)
 
@@ -369,7 +337,7 @@ class VisualFusion(FusionScheme):
         lo, hi = meta["instr_len"], meta["instr_len"] + meta["n_visual"]
         t2d = emb[:, lo:hi, :]
         upd = cross_attention(t2d, geo.tokens, self.attn["wq"], self.attn["wk"],
-                              self.attn["wv"], self.attn["wo"], self.mcfg.heads)
+                              self.attn["wv"], self.attn["wo"], self.cfg.heads)
         enriched = layer_norm(t2d + upd, self.ln["gain"].value, self.ln["bias"].value)
         parts = [emb[:, :lo, :], enriched]
         if hi < emb.shape[1]:

@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, make_scenes, tiny_dit_cfg, tiny_flow_cfg, tiny_geo_cfg, tiny_mllm_cfg
-from geofuse.bench import CorruptionMode, TrainConfig, dataset_hash, evaluate_policy, train_policy
+from conftest import DATA_DIR, TINY_RUN, make_scenes, tiny_cfg, tiny_policy
+from geofuse.bench import dataset_hash, evaluate_policy, train_policy
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.config import ExperimentConfig
-from geofuse.flow import FlowConfig, euler_integrate, fm_training_targets
+from geofuse.flow import euler_integrate, fm_training_targets
 from geofuse.gating import fuse_single, gate_and_fuse, init_threedmix_params, project_geo
 from geofuse.nn import grad_check, linear, mean_pool_seq, expand_seq
-from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
 from geofuse.runner import (
     RunRecord,
@@ -36,25 +35,6 @@ from geofuse.runner import (
 )
 from geofuse.schemes import SCHEME_IDS
 from geofuse.tensor import ParamSet, Tensor
-
-TINY = dict(n_objects=1, n_patches=4, d=8, heads=2, n_layers=2, l_max=16,
-            vocab_size=16, d_vggt=6, n_dit_layers=2, horizon=2, d_action=4,
-            euler_steps=2, train_steps=5, batch_size=4, dataset_size=8,
-            eval_episodes=4)
-
-
-def tiny_cfg(**kw):
-    base = dict(TINY)
-    base.update(kw)
-    return ExperimentConfig(**base)
-
-
-def tiny_policy(scheme, arch="groot", seed=99, opts=None, with_geo=True, **kw):
-    return FusionPolicy(
-        scheme, arch, tiny_mllm_cfg(), tiny_geo_cfg(), tiny_dit_cfg(),
-        tiny_flow_cfg(), rng=RngStream(seed, 0), with_geo_encoder=with_geo,
-        scheme_opts=opts, **kw,
-    )
 
 
 @pytest.fixture
@@ -171,7 +151,7 @@ def test_flow_matching_exactness(announce):
                     and np.array_equal(v, a - eps))
     worst = 0.0
     for n in (1, 5, 10):
-        cfg = FlowConfig(n_euler_steps=n)
+        cfg = ExperimentConfig(euler_steps=n)
         start = RngStream(34, 4).normal((3, 4, 7), cfg.noise_std)
         out = euler_integrate(lambda x, tau: a - start, (3, 4, 7),
                               RngStream(34, 4), cfg)
@@ -193,7 +173,9 @@ def _null_configured_policy(sid):
         return pol
     if sid in ("midlayer_injection", "spatial_forcing", "none"):
         return tiny_policy(sid)
-    return tiny_policy(sid, opts={"null_geo": True})
+    pol = tiny_policy(sid)
+    pol.scheme.null_geo = True
+    return pol
 
 
 def test_every_scheme_nulls_back_to_base_model(announce):
@@ -216,7 +198,9 @@ def test_zero_overhead_schemes_never_read_geometry_at_inference(announce):
     bad = []
     for sid in ("spatial_forcing", "threed_tokens"):
         with_geo = tiny_policy(sid).predict(scenes, RngStream(5, 1))
-        without = tiny_policy(sid, with_geo=False).predict(scenes, RngStream(5, 1))
+        blind = tiny_policy(sid)
+        blind.geo_encoder = None
+        without = blind.predict(scenes, RngStream(5, 1))
         if not np.array_equal(with_geo, without):
             bad.append(sid)
     announce(6, "training-only schemes are geometry-free at inference",
@@ -267,7 +251,7 @@ def test_corrupting_geometry_destroys_the_trained_policy(announce, trained_runs)
         clean = rec_g.metrics[TASK_NAME]["success_rate"]
         for kind in ("zeros", "gaussian"):
             m = evaluate_policy(pol_g, eval_eps, RngStream(cfg.seed, _STREAM_EVAL),
-                                CorruptionMode(kind, 1.0))
+                                cfg.replace(corruption=kind, corruption_sigma=1.0))
             margins[(seed, kind)] = clean - m.success_rate
     worst = min(margins.values())
     ok = worst >= 0.20
@@ -281,12 +265,8 @@ def test_corrupting_geometry_destroys_the_trained_policy(announce, trained_runs)
 
 def _record_for_policy(cfg, policy):
     train_eps, eval_eps = build_datasets(cfg)
-    tcfg = TrainConfig(steps=cfg.train_steps, batch_size=cfg.batch_size,
-                       lr_backbone=cfg.lr_backbone, lr_fusion=cfg.lr_fusion,
-                       warmup_frac=cfg.warmup_frac, beta1=cfg.beta1)
-    curve = train_policy(policy, train_eps, tcfg, RngStream(cfg.seed, _STREAM_TRAIN))
-    m = evaluate_policy(policy, eval_eps, RngStream(cfg.seed, _STREAM_EVAL),
-                        CorruptionMode(cfg.corruption, cfg.corruption_sigma))
+    curve = train_policy(policy, train_eps, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
+    m = evaluate_policy(policy, eval_eps, RngStream(cfg.seed, _STREAM_EVAL), cfg)
     return RunRecord(cfg.to_dict(),
                      {TASK_NAME: {"success_rate": m.success_rate,
                                   "mean_l2_error": m.mean_l2_error,
@@ -295,7 +275,7 @@ def _record_for_policy(cfg, policy):
 
 
 def test_sparse_zero_equals_full_layerwise_fusion(announce):
-    cfg = tiny_cfg(arch="pi", sparse_k=0, train_steps=20)
+    cfg = tiny_cfg(**TINY_RUN).replace(arch="pi", sparse_k=0, train_steps=20)
     rec_sparse = _record_for_policy(cfg, build_policy(cfg))
     full = build_policy(cfg)
     full.schedule = [True] * cfg.n_dit_layers  # explicit every-layer fusion
@@ -340,7 +320,7 @@ def test_report_fixtures_reproduce_reference_averages(announce):
 # ---------------------------------------------------------------- 11 determinism
 
 def test_reports_are_reproducible_and_checkpoints_round_trip(announce, tmp_path):
-    configs = pilot_configs(tiny_cfg())
+    configs = pilot_configs(tiny_cfg(**TINY_RUN))
     reports = []
     curves = []
     for _ in range(2):
@@ -351,7 +331,7 @@ def test_reports_are_reproducible_and_checkpoints_round_trip(announce, tmp_path)
 
     bad = []
     for sid in SCHEME_IDS:
-        cfg = tiny_cfg(scheme=sid)
+        cfg = tiny_cfg(**TINY_RUN, scheme=sid)
         policy = build_policy(cfg)
         path = tmp_path / f"{sid}.bin"
         save_checkpoint(policy, cfg, path)

@@ -3,7 +3,7 @@ single-pass layer extraction, and DiT conditioning modes."""
 import numpy as np
 import pytest
 
-from conftest import make_scenes, tiny_dit_cfg, tiny_geo_cfg, tiny_mllm_cfg
+from conftest import make_scenes, tiny_cfg
 from geofuse.backbones import (
     ActionDiT,
     GeoEncoder,
@@ -20,12 +20,12 @@ from geofuse.tensor import ParamSet, Tensor
 
 def build_mllm(rng, **kw):
     store = ParamSet()
-    return ToyMLLM(tiny_mllm_cfg(**kw), store, rng), store
+    return ToyMLLM(tiny_cfg(**kw), store, rng), store
 
 
 def build_geo(**kw):
     store = ParamSet()
-    return GeoEncoder(tiny_geo_cfg(**kw), store), store
+    return GeoEncoder(tiny_cfg(**kw), store), store
 
 
 # ------------------------------------------------------------------ scenes
@@ -185,56 +185,56 @@ def test_sinusoid_table_shape_and_first_row():
 
 # ------------------------------------------------------------------ action dit
 
-def _dit_inputs(rng, dcfg):
-    noisy = Tensor(rng.normal((2, dcfg.horizon, dcfg.d_action)))
-    cond = Tensor(rng.normal((2, 5, dcfg.d)))
+def _dit_inputs(rng, cfg):
+    noisy = Tensor(rng.normal((2, cfg.horizon, cfg.d_action)))
+    cond = Tensor(rng.normal((2, 5, cfg.d)))
     return noisy, cond
 
 
 def test_dit_pi_mode_with_duplicated_sequence_equals_groot(rng):
     store = ParamSet()
-    dcfg = tiny_dit_cfg()
-    dit = ActionDiT(dcfg, store, rng.derive(0))
-    noisy, cond = _dit_inputs(rng.derive(1), dcfg)
+    cfg = tiny_cfg()
+    dit = ActionDiT(cfg, store, rng.derive(0))
+    noisy, cond = _dit_inputs(rng.derive(1), cfg)
     single = dit.forward(noisy, cond, 0.4)
-    listed = dit.forward(noisy, [cond] * dcfg.n_dit_layers, 0.4)
+    listed = dit.forward(noisy, [cond] * cfg.n_dit_layers, 0.4)
     assert np.max(np.abs(single.data - listed.data)) < 1e-10
 
 
 def test_dit_output_shape_independent_of_conditioning_length(rng):
     store = ParamSet()
-    dcfg = tiny_dit_cfg()
-    dit = ActionDiT(dcfg, store, rng.derive(0))
-    noisy = Tensor(rng.normal((2, dcfg.horizon, dcfg.d_action)))
+    cfg = tiny_cfg()
+    dit = ActionDiT(cfg, store, rng.derive(0))
+    noisy = Tensor(rng.normal((2, cfg.horizon, cfg.d_action)))
     for lk in (1, 4, 9):
-        cond = Tensor(rng.normal((2, lk, dcfg.d)))
-        assert dit.forward(noisy, cond, 0.2).shape == (2, dcfg.horizon, dcfg.d_action)
+        cond = Tensor(rng.normal((2, lk, cfg.d)))
+        assert dit.forward(noisy, cond, 0.2).shape == (2, cfg.horizon, cfg.d_action)
 
 
 def test_dit_pi_mode_wrong_list_length(rng):
     store = ParamSet()
-    dcfg = tiny_dit_cfg()
-    dit = ActionDiT(dcfg, store, rng.derive(0))
-    noisy, cond = _dit_inputs(rng.derive(1), dcfg)
+    cfg = tiny_cfg()
+    dit = ActionDiT(cfg, store, rng.derive(0))
+    noisy, cond = _dit_inputs(rng.derive(1), cfg)
     with pytest.raises(ConfigError):
-        dit.forward(noisy, [cond] * (dcfg.n_dit_layers + 1), 0.4)
+        dit.forward(noisy, [cond] * (cfg.n_dit_layers + 1), 0.4)
 
 
 def test_dit_wrong_chunk_shape(rng):
     store = ParamSet()
-    dcfg = tiny_dit_cfg()
-    dit = ActionDiT(dcfg, store, rng.derive(0))
-    noisy = Tensor(rng.normal((2, dcfg.horizon + 1, dcfg.d_action)))
+    cfg = tiny_cfg()
+    dit = ActionDiT(cfg, store, rng.derive(0))
+    noisy = Tensor(rng.normal((2, cfg.horizon + 1, cfg.d_action)))
     with pytest.raises(ShapeError):
-        dit.forward(noisy, Tensor(rng.normal((2, 3, dcfg.d))), 0.4)
+        dit.forward(noisy, Tensor(rng.normal((2, 3, cfg.d))), 0.4)
 
 
 def test_dit_grad_check(rng):
     store = ParamSet()
-    dcfg = tiny_dit_cfg()
-    dit = ActionDiT(dcfg, store, rng.derive(0))
-    noisy, cond = _dit_inputs(rng.derive(1), dcfg)
-    target = rng.normal((2, dcfg.horizon, dcfg.d_action))
+    cfg = tiny_cfg()
+    dit = ActionDiT(cfg, store, rng.derive(0))
+    noisy, cond = _dit_inputs(rng.derive(1), cfg)
+    target = rng.normal((2, cfg.horizon, cfg.d_action))
 
     def loss():
         return mse(dit.forward(noisy, cond, 0.35), Tensor(target))

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, make_scenes, tiny_dit_cfg, tiny_flow_cfg, tiny_geo_cfg, tiny_mllm_cfg
+from conftest import DATA_DIR, tiny_cfg
 from geofuse.backbones import SceneSpec
 from geofuse.bench import (
     HOME_POSE,
     SUCCESS_EPS,
-    CorruptionMode,
     Episode,
-    TrainConfig,
     corrupt_geo,
     dataset_hash,
     episode_from_line,
@@ -25,6 +23,7 @@ from geofuse.bench import (
     target_action,
     train_policy,
 )
+from geofuse.config import ExperimentConfig
 from geofuse.errors import ConfigError, DomainError, GeofuseError
 from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
@@ -94,26 +93,27 @@ def test_target_action_reaches_instructed_object():
 
 def test_corrupt_none_is_bitwise_passthrough(rng):
     t = rng.normal((2, 3, 4))
-    assert corrupt_geo(t, CorruptionMode("none"), rng) is t
+    assert corrupt_geo(t, ExperimentConfig(corruption="none"), rng) is t
 
 
 def test_corrupt_zeros(rng):
     t = rng.normal((2, 3, 4))
-    out = corrupt_geo(t, CorruptionMode("zeros"), rng)
+    out = corrupt_geo(t, ExperimentConfig(corruption="zeros"), rng)
     assert np.abs(out).sum() == 0.0 and out.shape == t.shape
 
 
 def test_corrupt_gaussian_moments():
     t = np.zeros((100, 100))
-    out = corrupt_geo(t, CorruptionMode("gaussian", 1.0), RngStream(5, 5))
+    out = corrupt_geo(t, ExperimentConfig(corruption="gaussian", corruption_sigma=1.0),
+                      RngStream(5, 5))
     assert abs(out.std() - 1.0) < 0.05
 
 
 def test_corruption_mode_validation():
     with pytest.raises(ConfigError):
-        CorruptionMode("sometimes")
-    with pytest.raises(DomainError):
-        CorruptionMode("gaussian", 0.0)
+        ExperimentConfig(corruption="sometimes")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(corruption="gaussian", corruption_sigma=0.0)
 
 
 # ------------------------------------------------------------------ dataset io
@@ -211,14 +211,14 @@ class _StubPolicy:
 def test_oracle_policy_scores_perfectly(rng):
     eps = make_dataset(rng, 16, 1)
     targets = np.stack([e.target for e in eps])
-    m = evaluate_policy(_StubPolicy(targets), eps, RngStream(2, 2))
+    m = evaluate_policy(_StubPolicy(targets), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate == 1.0 and m.mean_l2_error == 0.0
 
 
 def test_random_policy_scores_zero(rng):
     eps = make_dataset(rng, 32, 1)
     noise = RngStream(9, 9).normal((32, 4, 7))
-    m = evaluate_policy(_StubPolicy(noise), eps, RngStream(2, 2))
+    m = evaluate_policy(_StubPolicy(noise), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate <= 1.0 / 32
 
 
@@ -226,21 +226,21 @@ def test_success_threshold_boundary(rng):
     eps = make_dataset(rng, 8, 1)
     targets = np.stack([e.target for e in eps])
     just_outside = targets + (SUCCESS_EPS + 1e-9)
-    m = evaluate_policy(_StubPolicy(just_outside), eps, RngStream(2, 2))
+    m = evaluate_policy(_StubPolicy(just_outside), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate == 0.0
 
 
 def test_evaluate_requires_episodes(rng):
     with pytest.raises(ConfigError):
-        evaluate_policy(_StubPolicy(None), [], rng)
+        evaluate_policy(_StubPolicy(None), [], rng, ExperimentConfig())
 
 
 # ------------------------------------------------------------------ training smoke
 
-def _tiny_policy(scheme):
-    return FusionPolicy(scheme, "groot", tiny_mllm_cfg(), tiny_geo_cfg(),
-                        tiny_dit_cfg(d_action=4), tiny_flow_cfg(),
-                        rng=RngStream(50, 0))
+def _tiny_run(scheme, **budget):
+    """A tiny policy and the config its training reads."""
+    cfg = tiny_cfg(scheme=scheme, d_action=4, **budget)
+    return FusionPolicy(cfg, RngStream(50, 0)), cfg
 
 
 def _tiny_dataset(seed, n):
@@ -248,11 +248,10 @@ def _tiny_dataset(seed, n):
 
 
 def test_training_reduces_loss_and_respects_freeze():
-    pol = _tiny_policy("gated_fusion")
+    pol, cfg = _tiny_run("gated_fusion", train_steps=120, batch_size=8)
     frozen_before = pol.geo_encoder.w_embed.value.data.copy()
     eps = _tiny_dataset(4, 64)
-    curve = train_policy(pol, eps, TrainConfig(steps=120, batch_size=8),
-                         RngStream(4, 2))
+    curve = train_policy(pol, eps, cfg, RngStream(4, 2))
     assert len(curve) == 120
     assert np.mean(curve[-10:]) < curve[0]
     np.testing.assert_array_equal(pol.geo_encoder.w_embed.value.data, frozen_before)
@@ -261,13 +260,13 @@ def test_training_reduces_loss_and_respects_freeze():
 def test_training_is_deterministic():
     curves = []
     for _ in range(2):
-        pol = _tiny_policy("gated_fusion")
-        curve = train_policy(pol, _tiny_dataset(4, 32),
-                             TrainConfig(steps=25, batch_size=8), RngStream(4, 2))
+        pol, cfg = _tiny_run("gated_fusion", train_steps=25, batch_size=8)
+        curve = train_policy(pol, _tiny_dataset(4, 32), cfg, RngStream(4, 2))
         curves.append(curve)
     assert curves[0] == curves[1]
 
 
 def test_training_rejects_empty_dataset():
     with pytest.raises(ConfigError):
-        train_policy(_tiny_policy("none"), [], TrainConfig(steps=1), RngStream(0, 0))
+        pol, cfg = _tiny_run("none", train_steps=1)
+        train_policy(pol, [], cfg, RngStream(0, 0))

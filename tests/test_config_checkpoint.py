@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geofuse.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
+from conftest import tiny_cfg
+from geofuse.checkpoint import load_checkpoint, read_header, save_checkpoint
 from geofuse.config import ExperimentConfig
 from geofuse.errors import CheckpointError, ConfigError
 from geofuse.runner import build_policy
@@ -67,6 +68,22 @@ def test_config_rejects_malformed_line():
         ExperimentConfig.from_text("just some words\n")
 
 
+@pytest.mark.parametrize("text", [
+    "scheme=nope", "arch=nope", "sparse_phase=middle", "sparse_k=-1",
+    "corruption=blur", "corruption=gaussian\ncorruption_sigma=0",
+    "heads=3",  # d=32
+    "euler_steps=0", "tau_alpha=0", "tau_beta=nan", "midlayer_k=99",
+])
+def test_config_rejects_out_of_range_values_when_parsed(text):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_text(text)
+
+
+def test_config_widens_an_int_for_a_float_field():
+    cfg = ExperimentConfig.from_dict({"tau_alpha": 2})
+    assert type(cfg.tau_alpha) is float and cfg == ExperimentConfig(tau_alpha=2.0)
+
+
 def test_config_shared_fields_excludes_scheme():
     a = ExperimentConfig(scheme="none")
     b = ExperimentConfig(scheme="gated_fusion")
@@ -76,16 +93,8 @@ def test_config_shared_fields_excludes_scheme():
 
 # ------------------------------------------------------------------ checkpoints
 
-def tiny_cfg(**kw):
-    base = dict(scheme="gated_fusion", n_objects=1, n_patches=4, d=8, heads=2,
-                n_layers=2, l_max=16, vocab_size=16, d_vggt=6, n_dit_layers=2,
-                horizon=2, d_action=4)
-    base.update(kw)
-    return ExperimentConfig(**base)
-
-
-def write_ckpt(tmp_path, **kw):
-    cfg = tiny_cfg(**kw)
+def write_ckpt(tmp_path):
+    cfg = tiny_cfg(d_action=4)
     policy = build_policy(cfg)
     path = tmp_path / "model.bin"
     save_checkpoint(policy, cfg, path)
@@ -182,6 +191,39 @@ def test_checkpoint_manifest_param_list_mismatch(tmp_path):
     _, _, path = write_ckpt(tmp_path)
     _rewrite_header(path, lambda h: h["params"].pop())
     with pytest.raises(CheckpointError, match="manifest mismatch"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("d", [1]), ("seed", "7x"), ("seed", 7.5), ("freeze_geo", 3), ("tau_alpha", True),
+    ("tau_alpha", 10**400), ("scheme", 5),
+])
+def test_checkpoint_config_of_the_wrong_type(tmp_path, key, value):
+    _, _, path = write_ckpt(tmp_path)
+    _rewrite_header(path, lambda h: h["config"].update({key: value}))
+    with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+def _float_shape(header):
+    header["params"][0]["shape"] = [float(n) for n in header["params"][0]["shape"]]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h["params"][0].pop("id"),
+    lambda h: h["params"][0].pop("shape"),
+    lambda h: h["params"][0].update(shape=3),
+    _float_shape,
+    lambda h: h["params"].__setitem__(0, 7),
+    lambda h: h.update(params={"id": "mllm.tok_embed"}),
+    lambda h: h.update(params="mllm.tok_embed"),
+    lambda h: h.update(config=[1, 2]),
+], ids=["no_id", "no_shape", "int_shape", "float_shape", "int_entry", "dict_params",
+        "str_params", "list_config"])
+def test_checkpoint_malformed_manifest(tmp_path, mutate):
+    _, _, path = write_ckpt(tmp_path)
+    _rewrite_header(path, mutate)
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 

@@ -3,37 +3,32 @@ oracle, and Euler exactness for constant velocity fields."""
 import numpy as np
 import pytest
 
+from geofuse.config import ExperimentConfig
 from geofuse.errors import ConfigError, NumericError, ShapeError
-from geofuse.flow import (
-    FlowConfig,
-    euler_integrate,
-    fm_loss,
-    fm_training_targets,
-    sample_tau,
-)
+from geofuse.flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
 from geofuse.rng import RngStream
 from geofuse.tensor import Tensor
 
 
 def test_flow_config_validation():
     with pytest.raises(ConfigError):
-        FlowConfig(alpha=0.0)
+        ExperimentConfig(tau_alpha=0.0)
     with pytest.raises(ConfigError):
-        FlowConfig(beta=-1.0)
+        ExperimentConfig(tau_beta=-1.0)
     with pytest.raises(ConfigError):
-        FlowConfig(n_euler_steps=0)
+        ExperimentConfig(euler_steps=0)
 
 
 # ------------------------------------------------------------------ tau
 
 def test_tau_uniform_mean(rng):
-    draws = sample_tau(rng, FlowConfig(alpha=1.0, beta=1.0), size=10_000)
+    draws = sample_tau(rng, ExperimentConfig(tau_alpha=1.0, tau_beta=1.0), size=10_000)
     assert abs(draws.mean() - 0.5) < 0.02
     assert np.all((draws > 0) & (draws < 1))
 
 
 def test_tau_beta22_moments(rng):
-    cfg = FlowConfig(alpha=2.0, beta=2.0)
+    cfg = ExperimentConfig(tau_alpha=2.0, tau_beta=2.0)
     draws = sample_tau(rng, cfg, size=10_000)
     assert abs(draws.mean() - 0.5) < 0.02
     # Beta variance: ab / ((a+b)^2 (a+b+1)) = 4/80 = 0.05
@@ -41,8 +36,8 @@ def test_tau_beta22_moments(rng):
 
 
 def test_tau_deterministic_given_stream():
-    a = sample_tau(RngStream(5, 5), FlowConfig(), size=16)
-    b = sample_tau(RngStream(5, 5), FlowConfig(), size=16)
+    a = sample_tau(RngStream(5, 5), ExperimentConfig(), size=16)
+    b = sample_tau(RngStream(5, 5), ExperimentConfig(), size=16)
     np.testing.assert_array_equal(a, b)
 
 
@@ -112,7 +107,7 @@ def test_euler_exact_for_constant_velocity(rng):
     A - eps, so one Euler step is already exact at any step count."""
     target = rng.normal((3, 4, 7))
     for n in (1, 5, 10):
-        cfg = FlowConfig(n_euler_steps=n)
+        cfg = ExperimentConfig(euler_steps=n)
         start = RngStream(21, 4).normal((3, 4, 7), cfg.noise_std)
         out = euler_integrate(lambda a, tau: target - start, (3, 4, 7),
                               RngStream(21, 4), cfg)
@@ -125,12 +120,12 @@ def test_euler_step_count_invariance_for_constant_field(rng):
     for n in (1, 10):
         start = RngStream(8, 8).normal((2, 2, 3))
         outs.append(euler_integrate(lambda a, tau: target - start, (2, 2, 3),
-                                    RngStream(8, 8), FlowConfig(n_euler_steps=n)))
+                                    RngStream(8, 8), ExperimentConfig(euler_steps=n)))
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
 
 
 def test_euler_zero_velocity_returns_initial_noise():
-    cfg = FlowConfig(n_euler_steps=7)
+    cfg = ExperimentConfig(euler_steps=7)
     out = euler_integrate(lambda a, tau: np.zeros_like(a), (2, 3, 4),
                           RngStream(3, 9), cfg)
     np.testing.assert_array_equal(out, RngStream(3, 9).normal((2, 3, 4), cfg.noise_std))
@@ -144,7 +139,7 @@ def test_euler_left_endpoint_grid():
         seen.append(tau)
         return np.zeros_like(a)
 
-    euler_integrate(vel, (1, 1, 1), RngStream(0, 0), FlowConfig(n_euler_steps=4))
+    euler_integrate(vel, (1, 1, 1), RngStream(0, 0), ExperimentConfig(euler_steps=4))
     assert seen == [0.0, 0.25, 0.5, 0.75]
 
 
@@ -153,4 +148,4 @@ def test_euler_rejects_nonfinite_state():
         return np.full_like(a, 1e308) * 1e10  # inf
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-        euler_integrate(vel, (1, 2, 2), RngStream(1, 1), FlowConfig(n_euler_steps=2))
+        euler_integrate(vel, (1, 2, 2), RngStream(1, 1), ExperimentConfig(euler_steps=2))

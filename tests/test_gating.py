@@ -18,7 +18,7 @@ from geofuse.gating import (
 )
 from geofuse.nn import grad_check, mse
 from geofuse.rng import RngStream
-from geofuse.tensor import Param, ParamSet, Tensor
+from geofuse.tensor import ParamSet, Tensor
 
 
 # ------------------------------------------------------------------ oracle

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, TINY_RUN, tiny_cfg
 from geofuse import cli
 from geofuse.config import ExperimentConfig
 from geofuse.errors import ConfigError, ProtocolError
@@ -20,16 +20,8 @@ from geofuse.runner import (
     run_single,
 )
 
-TINY = dict(n_objects=1, n_patches=4, d=8, heads=2, n_layers=2, l_max=16,
-            vocab_size=16, d_vggt=6, n_dit_layers=2, horizon=2, d_action=4,
-            euler_steps=2, train_steps=5, batch_size=4, dataset_size=8,
-            eval_episodes=4)
-
-
-def tiny_cfg(**kw):
-    base = dict(TINY)
-    base.update(kw)
-    return ExperimentConfig(**base)
+def run_cfg(**kw):
+    return tiny_cfg(**TINY_RUN).replace(**kw)
 
 
 def rows_from_csv(name):
@@ -47,17 +39,17 @@ def rows_from_csv(name):
 # ------------------------------------------------------------------ runs
 
 def test_run_single_record_contents():
-    rec = run_single(tiny_cfg())
-    assert len(rec.loss_curve) == TINY["train_steps"]
+    rec = run_single(run_cfg())
+    assert len(rec.loss_curve) == TINY_RUN["train_steps"]
     m = rec.metrics["reach"]
     assert set(m) == {"success_rate", "mean_l2_error", "n_episodes"}
-    assert m["n_episodes"] == TINY["eval_episodes"]
+    assert m["n_episodes"] == TINY_RUN["eval_episodes"]
     assert rec.wall_time > 0
     assert len(rec.dataset_hash) == 64
 
 
 def test_run_record_json_round_trip():
-    rec = run_single(tiny_cfg())
+    rec = run_single(run_cfg())
     back = RunRecord.from_json(rec.to_json())
     assert back.config == rec.config
     assert back.metrics == rec.metrics
@@ -66,7 +58,7 @@ def test_run_record_json_round_trip():
 
 
 def test_pilot_covers_every_scheme():
-    records = run_pilot(pilot_configs(tiny_cfg()))
+    records = run_pilot(pilot_configs(run_cfg()))
     assert len(records) == 10
     schemes = [r.config["scheme"] for r in records]
     assert schemes[0] == "none" and len(set(schemes)) == 10
@@ -75,7 +67,7 @@ def test_pilot_covers_every_scheme():
 
 
 def test_pilot_rejects_divergent_protocol():
-    configs = pilot_configs(tiny_cfg())
+    configs = pilot_configs(run_cfg())
     configs[3] = configs[3].replace(seed=99)
     with pytest.raises(ProtocolError, match="seed"):
         run_pilot(configs)
@@ -92,17 +84,17 @@ def _same_runs(a, b):
 
 
 def test_parallel_runs_match_serial():
-    configs = pilot_configs(tiny_cfg())[:3]
+    configs = pilot_configs(run_cfg())[:3]
     assert _same_runs(run_pilot(configs, jobs=2), run_pilot(configs, jobs=1))
-    assert _same_runs(run_ablation("sparse_depth", tiny_cfg(), jobs=2),
-                      run_ablation("sparse_depth", tiny_cfg(), jobs=1))
+    assert _same_runs(run_ablation("sparse_depth", run_cfg(), jobs=2),
+                      run_ablation("sparse_depth", run_cfg(), jobs=1))
 
 
 def test_jobs_below_one_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="jobs"):
-        run_pilot(pilot_configs(tiny_cfg()), jobs=0)
+        run_pilot(pilot_configs(run_cfg()), jobs=0)
     with pytest.raises(ConfigError, match="jobs"):
-        run_ablation("corruption", tiny_cfg(), jobs=-1)
+        run_ablation("corruption", run_cfg(), jobs=-1)
     cfg_path = write_tiny_config(tmp_path)
     assert cli.main(["pilot", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
                      "--jobs", "0"]) == 1
@@ -110,13 +102,13 @@ def test_jobs_below_one_rejected(tmp_path, capsys):
 
 
 def test_corruption_ablation_three_records():
-    records = run_ablation("corruption", tiny_cfg())
+    records = run_ablation("corruption", run_cfg())
     assert [r.config["corruption"] for r in records] == ["none", "zeros", "gaussian"]
 
 
 def test_unknown_ablation_kind():
     with pytest.raises(ConfigError, match="unknown ablation kind"):
-        run_ablation("lr_sweep", tiny_cfg())
+        run_ablation("lr_sweep", run_cfg())
 
 
 # ------------------------------------------------------------------ tables
@@ -172,17 +164,17 @@ def test_table_rejects_empty_and_bad_format():
 
 
 def test_records_to_rows_marks_base():
-    records = run_pilot(pilot_configs(tiny_cfg())[:2])
+    records = run_pilot(pilot_configs(run_cfg())[:2])
     rows = records_to_rows(records)
     assert rows[0].is_base and not rows[1].is_base
     assert rows[0].scores["reach"] == 100.0 * records[0].metrics["reach"]["success_rate"]
 
 
 def test_loss_curves_csv_layout():
-    records = run_pilot(pilot_configs(tiny_cfg())[:2])
+    records = run_pilot(pilot_configs(run_cfg())[:2])
     lines = loss_curves_csv(records).splitlines()
     assert lines[0].startswith("step,")
-    assert len(lines) == 1 + TINY["train_steps"]
+    assert len(lines) == 1 + TINY_RUN["train_steps"]
     assert lines[1].split(",")[0] == "0"
 
 
@@ -190,7 +182,7 @@ def test_loss_curves_csv_layout():
 
 def write_tiny_config(tmp_path, **kw):
     path = tmp_path / "exp.txt"
-    path.write_text(tiny_cfg(**kw).to_text())
+    path.write_text(run_cfg(**kw).to_text())
     return path
 
 
@@ -204,6 +196,14 @@ def test_cli_missing_required_arg_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--format", "csv"]])
+def test_cli_train_rejects_multi_run_flags(tmp_path, flag, capsys):
+    argv = ["train", "--config", str(write_tiny_config(tmp_path)),
+            "--out", str(tmp_path / "run"), *flag]
+    assert cli.main(argv) == 2
+    capsys.readouterr()
+
+
 def test_cli_train_writes_run_directory(tmp_path, capsys):
     cfg_path = write_tiny_config(tmp_path)
     out = tmp_path / "run"
@@ -211,7 +211,7 @@ def test_cli_train_writes_run_directory(tmp_path, capsys):
     for name in ("config.txt", "record.json", "loss.csv", "checkpoint.bin"):
         assert (out / name).exists()
     assert "success=" in capsys.readouterr().out
-    assert ExperimentConfig.from_file(out / "config.txt") == tiny_cfg()
+    assert ExperimentConfig.from_file(out / "config.txt") == run_cfg()
 
 
 def test_cli_eval_prints_metrics(tmp_path, capsys):

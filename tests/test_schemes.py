@@ -3,22 +3,13 @@ base model, zero-inference-overhead schemes, and the geometry probe."""
 import numpy as np
 import pytest
 
-from conftest import make_scenes, tiny_dit_cfg, tiny_flow_cfg, tiny_geo_cfg, tiny_mllm_cfg
+from conftest import make_scenes, tiny_cfg, tiny_policy
 from geofuse.backbones import GeoTokens
 from geofuse.errors import ConfigError, SchemeContractError
 from geofuse.nn import cosine_rows, grad_check
-from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
-from geofuse.schemes import SCHEME_IDS, GateMixer, make_scheme
+from geofuse.schemes import SCHEME_IDS, GateMixer
 from geofuse.tensor import ParamSet, Tensor
-
-
-def tiny_policy(scheme, arch="groot", seed=99, opts=None, with_geo=True, **kw):
-    return FusionPolicy(
-        scheme, arch, tiny_mllm_cfg(), tiny_geo_cfg(), tiny_dit_cfg(),
-        tiny_flow_cfg(), rng=RngStream(seed, 0), with_geo_encoder=with_geo,
-        scheme_opts=opts, **kw,
-    )
 
 
 def predict(policy, scenes, eval_seed=5):
@@ -38,10 +29,9 @@ def test_registry_has_exactly_ten_ids():
     assert len(set(SCHEME_IDS)) == 10
 
 
-def test_unknown_scheme_id_lists_valid_ones(rng):
+def test_unknown_scheme_id_lists_valid_ones():
     with pytest.raises(ConfigError) as exc:
-        make_scheme("nope", ParamSet(), rng, tiny_mllm_cfg(), tiny_geo_cfg(),
-                    tiny_dit_cfg(), "groot")
+        tiny_cfg(scheme="nope")
     msg = str(exc.value)
     for sid in SCHEME_IDS:
         assert sid in msg
@@ -64,7 +54,9 @@ def null_configured_policy(sid):
         return pol
     if sid in ("midlayer_injection", "spatial_forcing", "none"):
         return tiny_policy(sid)  # adapter scale starts at 0 / training-only
-    return tiny_policy(sid, opts={"null_geo": True})
+    pol = tiny_policy(sid)
+    pol.scheme.null_geo = True
+    return pol
 
 
 @pytest.mark.parametrize("sid", SCHEME_IDS)
@@ -79,7 +71,8 @@ def test_nullability_reproduces_base_model(sid, scenes):
 @pytest.mark.parametrize("sid", ["spatial_forcing", "threed_tokens"])
 def test_inference_never_reads_geometry(sid, scenes):
     with_geo = tiny_policy(sid)
-    without_geo = tiny_policy(sid, with_geo=False)
+    without_geo = tiny_policy(sid)
+    without_geo.geo_encoder = None
     np.testing.assert_array_equal(predict(with_geo, scenes),
                                   predict(without_geo, scenes))
 
@@ -88,7 +81,8 @@ def test_inference_never_reads_geometry(sid, scenes):
                                  "crossattn_fusion", "gated_fusion",
                                  "midlayer_injection", "visual_fusion"])
 def test_geo_required_schemes_fail_without_encoder(sid, scenes):
-    pol = tiny_policy(sid, with_geo=False)
+    pol = tiny_policy(sid)
+    pol.geo_encoder = None
     with pytest.raises(SchemeContractError):
         predict(pol, scenes)
 
@@ -222,7 +216,7 @@ def test_midlayer_adapter_gradient_is_live(rng, scenes):
 
 def test_midlayer_out_of_range_index():
     with pytest.raises(ConfigError):
-        tiny_policy("midlayer_injection", opts={"midlayer_k": 99})
+        tiny_cfg(scheme="midlayer_injection", midlayer_k=99)
 
 
 def test_crossattn_with_zeroed_attention_equals_concat(rng, scenes):
@@ -265,10 +259,10 @@ def test_visual_fusion_preserves_sequence_layout(rng, scenes):
 
 def test_ae_fusion_branch_has_per_block_params():
     pol = tiny_policy("ae_fusion")
-    assert len(pol.scheme.block_params) == pol.dcfg.n_dit_layers
+    assert len(pol.scheme.block_params) == pol.cfg.n_dit_layers
     geo = pol.geo_tokens(make_scenes(RngStream(2, 2), 2, 2), training=False)
     f_geo, params = pol.scheme.geo_branch(geo)
-    assert f_geo.shape[-1] == pol.mcfg.d and params is pol.scheme.block_params
+    assert f_geo.shape[-1] == pol.cfg.d and params is pol.scheme.block_params
 
 
 # ------------------------------------------------------------------ probe oracle

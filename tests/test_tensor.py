@@ -6,7 +6,7 @@ import pytest
 from geofuse.errors import NumericError, ShapeError
 from geofuse.nn import cosine_rows, cross_attention, grad_check, linear, mean_pool_seq, mse
 from geofuse.rng import RngStream
-from geofuse.tensor import Param, ParamSet, Tensor, concat, embedding, layer_norm
+from geofuse.tensor import ParamSet, Tensor, concat, embedding, layer_norm
 
 
 # ------------------------------------------------------------------ oracles
