@@ -10,7 +10,9 @@
   a known linear decode (used as a test oracle).
 - ActionDiT: DiT-style action expert predicting flow-matching velocities,
   conditioned via cross-attention in either single-sequence mode or
-  layer-wise mode (one conditioning sequence per block).
+  layer-wise mode (one conditioning sequence per block).  A scheme may add
+  a parallel read to every block as a closure; the expert never sees the
+  scheme's parameters.
 """
 from __future__ import annotations
 
@@ -69,12 +71,6 @@ class MLLMOutput:
     def visual_slice(self, layer: int) -> Tensor:
         h = self.per_layer[layer]
         return h[:, self.instr_len : self.instr_len + self.n_visual, :]
-
-
-@dataclass
-class GeoTokens:
-    tokens: Tensor        # B x N x D_vggt, one patch token per object
-    global_token: Tensor  # B x 1 x D_vggt, pooled over patches
 
 
 def sinusoid_table(n: int, d: int, max_freq: float = 100.0) -> np.ndarray:
@@ -187,15 +183,15 @@ class GeoEncoder:
         self.w_embed = store.new("geo.w_embed", w, trainable=not cfg.freeze_geo)
         self.base = store.new("geo.base", base, trainable=not cfg.freeze_geo)
 
-    def forward(self, scenes: list[SceneSpec]) -> GeoTokens:
+    def forward(self, scenes: list[SceneSpec]) -> Tensor:
+        """Patch tokens, B x N x D_vggt: one token per object."""
         n = scenes[0].n_objects
         if any(s.n_objects != n for s in scenes):
             raise ShapeError("all scenes in a batch must share the object count")
         if n > self.cfg.n_patches:
             raise CapacityError(f"{n} objects exceed {self.cfg.n_patches} patch slots")
         pos = np.stack([s.object_positions for s in scenes])  # B x n x 3
-        tokens = Tensor(pos) @ self.w_embed.value + self.base.value[:n]
-        return GeoTokens(tokens, tokens.mean(axis=1, keepdims=True))
+        return Tensor(pos) @ self.w_embed.value + self.base.value[:n]
 
     def decode(self, tokens: np.ndarray) -> np.ndarray:
         """Recover object positions from patch tokens (test oracle)."""
@@ -233,9 +229,9 @@ class ActionDiT:
         """Predict the velocity field for a noisy action chunk.
 
         conditioning: one Tensor used by every block, or a list with one
-        Tensor per block (layer-wise mode).  geo_branch, when present, is
-        (f_geo, [per-block attention param dicts]) adding a parallel
-        cross-attention read of geometric tokens inside every block.
+        Tensor per block (layer-wise mode).  geo_branch, when present, is a
+        closure (i, zc) -> Tensor whose output block i adds to its
+        cross-attention update; zc is the block's normed input to that read.
         """
         if isinstance(conditioning, (list, tuple)):
             conds = list(conditioning)
@@ -259,10 +255,7 @@ class ActionDiT:
             upd = cross_attention(zc, conds[i], blk["cross"]["wq"], blk["cross"]["wk"],
                                   blk["cross"]["wv"], blk["cross"]["wo"], self.cfg.heads)
             if geo_branch is not None:
-                f_geo, geo_params = geo_branch
-                gp = geo_params[i]
-                upd = upd + cross_attention(zc, f_geo, gp["wq"], gp["wk"], gp["wv"], gp["wo"],
-                                            self.cfg.heads)
+                upd = upd + geo_branch(i, zc)
             z = z + upd
             z = z + mlp(layer_norm(z, blk["ln_m"]["gain"].value, blk["ln_m"]["bias"].value),
                         blk["w1"], blk["w2"])

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: pilot, ablate, train, eval, report.  All randomness derives
-from --seed (or the config's seed), so a repeated invocation writes
-byte-identical report files.
+from --seed (or the config's seed) and records carry no timing, so a
+repeated invocation writes byte-identical files.
 """
 from __future__ import annotations
 

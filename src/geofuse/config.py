@@ -96,6 +96,15 @@ class ExperimentConfig:
         # `not x > 0` also rejects NaN
         if self.corruption == "gaussian" and not self.corruption_sigma > 0:
             raise ConfigError("gaussian corruption needs corruption_sigma > 0")
+        for name in ("d", "d_vggt", "d_action", "n_layers", "n_dit_layers", "horizon",
+                     "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.train_steps < 0:
+            raise ConfigError(f"train_steps must be >= 0, got {self.train_steps}")
+        if self.arch == "pi" and self.n_dit_layers > self.n_layers:
+            raise ConfigError(f"arch=pi conditions each of the {self.n_dit_layers} action "
+                              f"blocks on its own backbone layer, but n_layers={self.n_layers}")
         if self.heads < 1 or self.d % self.heads:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if not (self.tau_alpha > 0 and self.tau_beta > 0):

@@ -1,11 +1,12 @@
 """Semantic-conditioned gated fusion of geometric tokens.
 
-The pipeline: project raw geometric patch tokens into the semantic width,
-pool the semantic sequence into a global context, compute a per-position
-sigmoid gate from the (context, geometry) pair, blend the two projected
-streams, and append the blended tokens to the semantic sequence.  A
-layer-wise variant shares the geometry projection but gives every action
-block its own gate/blend parameters.
+The pipeline: project raw geometric patch tokens into the semantic width
+with a bias-free linear map, pool the semantic sequence into a global
+context, compute a per-position sigmoid gate from the (context, geometry)
+pair, blend the two projected streams, and append the blended tokens to
+the semantic sequence.  A layer-wise variant shares the geometry
+projection but gives every action block its own gate/blend parameters.
+Every step takes and returns plain Tensors.
 """
 from __future__ import annotations
 
@@ -41,13 +42,6 @@ class LayerwiseThreeDMixParams:
     per_layer: list[GateParams]  # one gate/blend set per action block
 
 
-@dataclass
-class ConditioningSequence:
-    tokens: Tensor  # B x (L + N) x D
-    semantic_len: int
-    geo_len: int
-
-
 def init_gate_params(store: ParamSet, rng: RngStream, prefix: str, d: int) -> GateParams:
     return GateParams(
         w_gate=store.new(f"{prefix}.w_gate", np.zeros((2 * d, d))),
@@ -73,11 +67,6 @@ def init_layerwise_params(store: ParamSet, rng: RngStream, prefix: str,
     )
 
 
-def project_geo(f_vggt: Tensor, w_proj) -> Tensor:
-    """Bias-free linear map of raw geometric tokens into the semantic width."""
-    return linear(f_vggt, w_proj)
-
-
 def gate_and_fuse(h_mllm: Tensor, f_geo: Tensor, params: GateParams,
                   logit_offset: float = 0.0) -> tuple[Tensor, Tensor]:
     """Blend pooled semantic context with geometric tokens per position.
@@ -97,27 +86,25 @@ def gate_and_fuse(h_mllm: Tensor, f_geo: Tensor, params: GateParams,
     return gate, fused
 
 
-def build_conditioning(h_mllm: Tensor, f_fused) -> ConditioningSequence:
-    """Append fused geometric tokens to the semantic sequence.
+def build_conditioning(h_mllm: Tensor, f_fused) -> Tensor:
+    """Append fused geometric tokens to the semantic sequence: B x (L + N) x D.
 
-    The semantic prefix is the input tensor itself (no copy), so it stays
-    bit-identical.  f_fused may be None or zero-length for the no-geometry
-    degenerate case.
+    With no geometry (f_fused None or zero-length) the result is h_mllm
+    itself; otherwise its first L positions are a bit-identical copy.
     """
     if f_fused is None or f_fused.shape[1] == 0:
-        return ConditioningSequence(h_mllm, h_mllm.shape[1], 0)
+        return h_mllm
     if f_fused.shape[0] != h_mllm.shape[0] or f_fused.shape[2] != h_mllm.shape[2]:
         raise ShapeError(
             f"conditioning concat mismatch: {h_mllm.shape} vs {f_fused.shape}"
         )
-    tokens = concat([h_mllm, f_fused], axis=1)
-    return ConditioningSequence(tokens, h_mllm.shape[1], f_fused.shape[1])
+    return concat([h_mllm, f_fused], axis=1)
 
 
 def fuse_single(h_mllm: Tensor, f_vggt: Tensor, params: ThreeDMixParams,
-                logit_offset: float = 0.0) -> ConditioningSequence:
-    """Full single-sequence pipeline: project, gate, blend, append."""
-    f_geo = project_geo(f_vggt, params.w_proj)
+                logit_offset: float = 0.0) -> Tensor:
+    """Full single-sequence pipeline: project (bias-free), gate, blend, append."""
+    f_geo = linear(f_vggt, params.w_proj)
     _, fused = gate_and_fuse(h_mllm, f_geo, params.gate, logit_offset)
     return build_conditioning(h_mllm, fused)
 
@@ -127,8 +114,9 @@ def layerwise_fuse(per_layer_h: list, f_vggt: Tensor,
                    schedule: list | None = None) -> list:
     """Layer-wise variant: geometry projected once, gated per layer.
 
-    schedule, when given, is a list of fuse/skip flags; skipped layers get
-    their semantic sequence unmodified (no geometric tokens appended).
+    Returns one conditioning tensor per layer.  schedule, when given, is a
+    list of fuse/skip flags; a skipped layer's conditioning is its semantic
+    sequence itself (no geometric tokens appended).
     """
     if len(per_layer_h) != len(params.per_layer):
         raise ConfigError(
@@ -139,7 +127,7 @@ def layerwise_fuse(per_layer_h: list, f_vggt: Tensor,
         schedule = [True] * len(per_layer_h)
     if len(schedule) != len(per_layer_h):
         raise ConfigError("schedule length does not match layer count")
-    f_geo = project_geo(f_vggt, params.w_proj)
+    f_geo = linear(f_vggt, params.w_proj)
     out = []
     for h, gate_params, fuse in zip(per_layer_h, params.per_layer, schedule):
         if fuse:

@@ -92,7 +92,7 @@ def _recip(t: Tensor) -> Tensor:
     y = 1.0 / t.data
 
     def bwd(g):
-        t._maybe(g, -g * y * y)
+        t._maybe(-g * y * y)
 
     return Tensor._make(y, (t,), bwd)
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backbones import ActionDiT, GeoEncoder, GeoTokens, MLLMOutput, ToyMLLM
+from .backbones import ActionDiT, GeoEncoder, MLLMOutput, ToyMLLM
 from .config import ExperimentConfig
 from .errors import SchemeContractError
 from .flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
-from .gating import sparse_layer_schedule
 from .rng import RngStream
 from .schemes import make_scheme
 from .tensor import ParamSet, Tensor
@@ -33,10 +32,6 @@ class FusionPolicy:
         self.geo_encoder = GeoEncoder(cfg, self.store)
         self.dit = ActionDiT(cfg, self.store, rng.derive(2))
         self.scheme = make_scheme(cfg, self.store, rng.derive(3))
-        self.schedule = (
-            sparse_layer_schedule(cfg.n_dit_layers, cfg.sparse_k, cfg.sparse_phase)
-            if cfg.arch == "pi" else None
-        )
 
     # -- parameter bookkeeping --------------------------------------------
 
@@ -51,7 +46,8 @@ class FusionPolicy:
 
     # -- geometry ----------------------------------------------------------
 
-    def geo_tokens(self, scenes, training: bool, corruption=None) -> GeoTokens | None:
+    def geo_tokens(self, scenes, training: bool, corruption=None) -> Tensor | None:
+        """B x N x D_vggt patch tokens, or None when the scheme reads none."""
         needed = (self.scheme.training_geo_required if training
                   else self.scheme.inference_geo_required)
         if not needed:
@@ -63,8 +59,7 @@ class FusionPolicy:
             )
         geo = self.geo_encoder.forward(scenes)
         if corruption is not None:
-            tokens = Tensor(corruption(geo.tokens.data))
-            geo = GeoTokens(tokens, tokens.mean(axis=1, keepdims=True))
+            geo = Tensor(corruption(geo.data))
         return geo
 
     # -- forward -----------------------------------------------------------
@@ -76,7 +71,7 @@ class FusionPolicy:
         emb = self.scheme.modify_input(emb, meta, geo)
         per_layer = self.mllm.run_layers(emb, self.scheme.mid_hook(geo))
         mllm_out = MLLMOutput(per_layer, instr_len, n_vis)
-        cond = self.scheme.conditioning(mllm_out, geo, self.schedule)
+        cond = self.scheme.conditioning(mllm_out, geo)
         return cond, self.scheme.geo_branch(geo), mllm_out
 
     # -- training objective ------------------------------------------------

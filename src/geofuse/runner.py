@@ -4,7 +4,6 @@ from __future__ import annotations
 import concurrent.futures
 import decimal
 import json
-import time
 from dataclasses import dataclass
 
 from .bench import dataset_hash, evaluate_policy, make_dataset, train_policy
@@ -53,26 +52,24 @@ class RunRecord:
     metrics: dict  # task name -> {variant -> {success_rate, mean_l2_error, n_episodes}}
     loss_curve: list
     dataset_hash: str
-    wall_time: float = 0.0
 
     def to_json(self) -> str:
+        """Everything here is a function of the config, so reruns match byte for byte."""
         return json.dumps(
             {"config": self.config, "metrics": self.metrics,
-             "loss_curve": self.loss_curve, "dataset_hash": self.dataset_hash,
-             "wall_time": self.wall_time},
+             "loss_curve": self.loss_curve, "dataset_hash": self.dataset_hash},
             sort_keys=True,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
+        """Read a record; keys it does not know (older records' `wall_time`) are ignored."""
         d = json.loads(text)
-        return cls(d["config"], d["metrics"], d["loss_curve"],
-                   d["dataset_hash"], d["wall_time"])
+        return cls(d["config"], d["metrics"], d["loss_curve"], d["dataset_hash"])
 
 
 def run_single(cfg: ExperimentConfig, return_policy: bool = False):
     """Train and evaluate one configuration."""
-    t0 = time.perf_counter()
     policy = build_policy(cfg)
     train_eps, eval_eps = build_datasets(cfg)
     curve = train_policy(policy, train_eps, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
@@ -84,7 +81,6 @@ def run_single(cfg: ExperimentConfig, return_policy: bool = False):
                              "n_episodes": metrics.n_episodes}},
         loss_curve=curve,
         dataset_hash=dataset_hash(train_eps),
-        wall_time=time.perf_counter() - t0,
     )
     return (record, policy) if return_policy else record
 

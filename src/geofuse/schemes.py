@@ -4,16 +4,19 @@ Each scheme is a bundle of its own parameters plus a fixed set of hooks
 into the policy forward pass: rewriting the input token sequence,
 patching an intermediate backbone layer, building the conditioning
 sequence(s) for the action expert, adding a parallel read inside the
-action blocks, or contributing a training-time alignment loss.  Every
-scheme documents a parameter setting under which the policy collapses
-exactly to the base model (`null_geo`, a zeroed branch projection, or a
-zero adapter scale).
+action blocks, or contributing a training-time alignment loss.  Hooks
+receive the geometry as a plain B x N x D_vggt Tensor (or None when the
+scheme reads none) and return Tensors or closures over their own
+parameters, so neither the backbone nor the action expert knows any
+scheme's parameters.  Every scheme documents a parameter setting under
+which the policy collapses exactly to the base model (`null_geo`, a
+zeroed branch projection, or a zero adapter scale).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .backbones import GeoTokens, MLLMOutput, sinusoid_table
+from .backbones import MLLMOutput, sinusoid_table
 from .config import SCHEME_IDS, ExperimentConfig  # noqa: F401 (re-exported beside the registry)
 from .errors import SchemeContractError, ShapeError
 from .gating import (
@@ -22,8 +25,10 @@ from .gating import (
     init_layerwise_params,
     init_threedmix_params,
     layerwise_fuse,
+    sparse_layer_schedule,
 )
-from .nn import attention_params, cross_attention, expand_seq, init_matrix, layer_norm, linear, norm_params, cosine_rows
+from .nn import (attention_params, cosine_rows, cross_attention, expand_seq, init_matrix,
+                 layer_norm, linear, mean_pool_seq, norm_params)
 from .tensor import ParamSet, Tensor, concat
 
 _REGISTRY: dict[str, type] = {}
@@ -54,21 +59,27 @@ class FusionScheme:
     def build(self, store, rng):
         pass
 
-    # -- hooks, all optional ------------------------------------------------
+    # -- hooks, each a no-op here --------------------------------------------
 
     def modify_input(self, emb: Tensor, meta: dict, geo) -> Tensor:
+        """The backbone's input sequence; meta holds instr_len and n_visual."""
         return emb
 
     def mid_hook(self, geo):
+        """None, or a closure (i, h) -> h applied after backbone layer i."""
         return None
 
     def geo_branch(self, geo):
+        """None, or a closure (i, zc) -> Tensor that action block i adds to
+        its cross-attention update."""
         return None
 
     def aux_loss(self, mllm_out: MLLMOutput, geo):
+        """None, or (weight, scalar Tensor) added to the training loss."""
         return None
 
-    def conditioning(self, mllm_out: MLLMOutput, geo, schedule=None):
+    def conditioning(self, mllm_out: MLLMOutput, geo):
+        """One B x L x D Tensor (groot), or one per action block (pi)."""
         if self.cfg.arch == "pi":
             return self._pi_layers(mllm_out)
         return mllm_out.final
@@ -78,7 +89,7 @@ class FusionScheme:
     def _pi_layers(self, mllm_out: MLLMOutput):
         return mllm_out.per_layer[-self.cfg.n_dit_layers:]
 
-    def _need(self, geo) -> GeoTokens:
+    def _need(self, geo) -> Tensor:
         if geo is None:
             raise SchemeContractError(f"scheme {self.id!r} needs geometric tokens here")
         return geo
@@ -88,22 +99,20 @@ register(FusionScheme)
 
 
 class GateMixer:
-    """Blend per-patch and pooled geometric components, then project."""
+    """Blend per-patch geometric tokens with their pooled mean, then project."""
 
     def __init__(self, store, rng, prefix, d_vggt, d):
         self.w_mix = store.new(f"{prefix}.w_mix", np.zeros((2 * d_vggt, d_vggt)))
         self.w_proj = store.new(f"{prefix}.w_proj", init_matrix(rng, d_vggt, d))
 
-    def __call__(self, geo: GeoTokens, logit_offset: float = 0.0) -> Tensor:
-        if geo.global_token is None:
-            raise SchemeContractError("gate mixer needs the pooled geometric component")
-        n = geo.tokens.shape[1]
-        glob = expand_seq(geo.global_token, n)
-        logits = linear(concat([geo.tokens, glob], axis=2), self.w_mix)
+    def __call__(self, geo: Tensor, pooled: Tensor, logit_offset: float = 0.0) -> Tensor:
+        """geo: B x N x D_vggt patch tokens; pooled: their B x 1 x D_vggt mean."""
+        glob = expand_seq(pooled, geo.shape[1])
+        logits = linear(concat([geo, glob], axis=2), self.w_mix)
         if logit_offset:
             logits = logits + logit_offset
         gate = logits.sigmoid()
-        mixed = gate * geo.tokens + (1.0 - gate) * glob
+        mixed = gate * geo + (1.0 - gate) * glob
         return linear(mixed, self.w_proj)
 
 
@@ -124,8 +133,14 @@ class AEFusion(FusionScheme):
         ]
 
     def geo_branch(self, geo):
-        geo = self._need(geo)
-        return linear(geo.tokens, self.w_proj), self.block_params
+        f_geo = linear(self._need(geo), self.w_proj)
+
+        def branch(i, zc):
+            p = self.block_params[i]
+            return cross_attention(zc, f_geo, p["wq"], p["wk"], p["wv"], p["wo"],
+                                   self.cfg.heads)
+
+        return branch
 
 
 @register
@@ -143,8 +158,7 @@ class EarlyFusion(FusionScheme):
     def modify_input(self, emb, meta, geo):
         if self.null_geo:
             return emb
-        geo = self._need(geo)
-        return concat([emb, linear(geo.tokens, self.w_proj)], axis=1)
+        return concat([emb, linear(self._need(geo), self.w_proj)], axis=1)
 
 
 @register
@@ -159,17 +173,19 @@ class ConcatFusion(FusionScheme):
         self.mixer = GateMixer(store, rng, "scheme.concat.mixer",
                                self.cfg.d_vggt, self.cfg.d)
 
-    def _geo_tokens(self, geo, h):
-        return self.mixer(self._need(geo))
+    def _geo_tokens(self, geo, pooled, h):
+        return self.mixer(geo, pooled)
 
-    def conditioning(self, mllm_out, geo, schedule=None):
+    def conditioning(self, mllm_out, geo):
         if self.null_geo:
-            return super().conditioning(mllm_out, geo, schedule)
+            return super().conditioning(mllm_out, geo)
+        geo = self._need(geo)
+        pooled = mean_pool_seq(geo)
         if self.cfg.arch == "pi":
-            return [build_conditioning(h, self._geo_tokens(geo, h)).tokens
+            return [build_conditioning(h, self._geo_tokens(geo, pooled, h))
                     for h in self._pi_layers(mllm_out)]
         return build_conditioning(mllm_out.final,
-                                  self._geo_tokens(geo, mllm_out.final)).tokens
+                                  self._geo_tokens(geo, pooled, mllm_out.final))
 
 
 @register
@@ -182,8 +198,8 @@ class CrossAttnFusion(ConcatFusion):
         super().build(store, rng)
         self.attn = attention_params(store, rng, "scheme.crossattn.attn", self.cfg.d)
 
-    def _geo_tokens(self, geo, h):
-        f_geo = self.mixer(self._need(geo))
+    def _geo_tokens(self, geo, pooled, h):
+        f_geo = self.mixer(geo, pooled)
         return cross_attention(f_geo, h, self.attn["wq"], self.attn["wk"],
                                self.attn["wv"], self.attn["wo"], self.cfg.heads) + f_geo
 
@@ -201,18 +217,19 @@ class GatedFusion(FusionScheme):
         if self.cfg.arch == "pi":
             self.params = init_layerwise_params(store, rng, "scheme.gated", dv, d,
                                                 self.cfg.n_dit_layers)
+            # a fuse/skip flag per action block; skipped blocks read plain semantics
+            self.schedule = sparse_layer_schedule(self.cfg.n_dit_layers, self.cfg.sparse_k,
+                                                  self.cfg.sparse_phase)
         else:
             self.params = init_threedmix_params(store, rng, "scheme.gated", dv, d)
 
-    def conditioning(self, mllm_out, geo, schedule=None):
+    def conditioning(self, mllm_out, geo):
         if self.null_geo:
-            return super().conditioning(mllm_out, geo, schedule)
+            return super().conditioning(mllm_out, geo)
         geo = self._need(geo)
         if self.cfg.arch == "pi":
-            seqs = layerwise_fuse(self._pi_layers(mllm_out), geo.tokens,
-                                  self.params, schedule)
-            return [s.tokens for s in seqs]
-        return fuse_single(mllm_out.final, geo.tokens, self.params).tokens
+            return layerwise_fuse(self._pi_layers(mllm_out), geo, self.params, self.schedule)
+        return fuse_single(mllm_out.final, geo, self.params)
 
 
 @register
@@ -234,7 +251,6 @@ class ThreeDTokens(FusionScheme):
             return emb
         b = emb.shape[0]
         tok = self.token.value * Tensor(np.ones((b, 1, 1)))
-        meta["special_token"] = True
         return concat([emb, tok], axis=1)
 
     def aux_loss(self, mllm_out, geo):
@@ -242,7 +258,7 @@ class ThreeDTokens(FusionScheme):
             return None
         geo = self._need(geo)
         h_tok = mllm_out.final[:, -1, :]  # the appended special token's state
-        pooled = geo.tokens.mean(axis=1)
+        pooled = geo.mean(axis=1)
         cos = cosine_rows(linear(h_tok, self.w_align), linear(pooled, self.w_proj))
         return self.cfg.align_weight, (1.0 - cos).mean()
 
@@ -267,8 +283,7 @@ class MidLayerInjection(FusionScheme):
         self.alpha = store.new("scheme.mid.alpha", np.zeros(()))
 
     def mid_hook(self, geo):
-        geo = self._need(geo)
-        f_geo = linear(geo.tokens, self.w_proj)
+        f_geo = linear(self._need(geo), self.w_proj)
 
         def hook(i, h):
             if i != self.k:
@@ -305,14 +320,14 @@ class SpatialForcing(FusionScheme):
             return None
         geo = self._need(geo)
         h_vis = mllm_out.visual_slice(self.k)
-        n = geo.tokens.shape[1]
+        n = geo.shape[1]
         if h_vis.shape[1] != n:
             raise ShapeError(
                 f"visual slice length {h_vis.shape[1]} != {n} geometric patches"
             )
         proj = linear(linear(layer_norm(h_vis, self.ln["gain"].value,
                                         self.ln["bias"].value), self.w1).gelu(), self.w2)
-        target = Tensor(geo.tokens.data + self.e_pos[:n])
+        target = Tensor(geo.data + self.e_pos[:n])
         cos = cosine_rows(proj, target)
         return self.cfg.forcing_weight, -cos.mean()
 
@@ -336,7 +351,7 @@ class VisualFusion(FusionScheme):
         geo = self._need(geo)
         lo, hi = meta["instr_len"], meta["instr_len"] + meta["n_visual"]
         t2d = emb[:, lo:hi, :]
-        upd = cross_attention(t2d, geo.tokens, self.attn["wq"], self.attn["wk"],
+        upd = cross_attention(t2d, geo, self.attn["wq"], self.attn["wk"],
                               self.attn["wv"], self.attn["wo"], self.cfg.heads)
         enriched = layer_norm(t2d + upd, self.ln["gain"].value, self.ln["bias"].value)
         parts = [emb[:, :lo, :], enriched]

@@ -96,8 +96,8 @@ class Tensor:
         y = self.data + other.data
 
         def bwd(g):
-            self._maybe(g, _unbroadcast(g, self.data.shape))
-            other._maybe(g, _unbroadcast(g, other.data.shape))
+            self._maybe(_unbroadcast(g, self.data.shape))
+            other._maybe(_unbroadcast(g, other.data.shape))
 
         return Tensor._make(y, (self, other), bwd)
 
@@ -117,8 +117,8 @@ class Tensor:
         y = self.data * other.data
 
         def bwd(g):
-            self._maybe(g, _unbroadcast(g * other.data, self.data.shape))
-            other._maybe(g, _unbroadcast(g * self.data, other.data.shape))
+            self._maybe(_unbroadcast(g * other.data, self.data.shape))
+            other._maybe(_unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._make(y, (self, other), bwd)
 
@@ -127,7 +127,7 @@ class Tensor:
     def __truediv__(self, scalar):
         return self * (1.0 / float(scalar))
 
-    def _maybe(self, _g, contrib):
+    def _maybe(self, contrib):
         if self.requires_grad:
             self._accum(contrib)
 
@@ -166,7 +166,7 @@ class Tensor:
         y = self.data.reshape(shape)
 
         def bwd(g):
-            self._maybe(g, g.reshape(orig))
+            self._maybe(g.reshape(orig))
 
         return Tensor._make(y, (self,), bwd)
 
@@ -174,7 +174,7 @@ class Tensor:
         inv = np.argsort(axes)
 
         def bwd(g):
-            self._maybe(g, g.transpose(inv))
+            self._maybe(g.transpose(inv))
 
         return Tensor._make(self.data.transpose(axes), (self,), bwd)
 
@@ -204,7 +204,7 @@ class Tensor:
         y = 1.0 / (1.0 + np.exp(-self.data))
 
         def bwd(g):
-            self._maybe(g, g * y * (1.0 - y))
+            self._maybe(g * y * (1.0 - y))
 
         return Tensor._make(y, (self,), bwd)
 
@@ -212,7 +212,7 @@ class Tensor:
         y = np.tanh(self.data)
 
         def bwd(g):
-            self._maybe(g, g * (1.0 - y * y))
+            self._maybe(g * (1.0 - y * y))
 
         return Tensor._make(y, (self,), bwd)
 
@@ -228,7 +228,7 @@ class Tensor:
         def bwd(g):
             du = c * (1.0 + 3 * 0.044715 * x**2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            self._maybe(g, g * dy)
+            self._maybe(g * dy)
 
         return Tensor._make(y, (self,), bwd)
 
@@ -238,7 +238,7 @@ class Tensor:
         y = np.sqrt(self.data)
 
         def bwd(g):
-            self._maybe(g, g * 0.5 / np.maximum(y, 1e-300))
+            self._maybe(g * 0.5 / np.maximum(y, 1e-300))
 
         return Tensor._make(y, (self,), bwd)
 
@@ -311,9 +311,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g):
         gx, ggain, gbias = kernels.layernorm_bwd(g.reshape(-1, d), xhat, inv, gain.data)
-        x._maybe(g, gx.reshape(shp))
-        gain._maybe(g, ggain)
-        bias._maybe(g, gbias)
+        x._maybe(gx.reshape(shp))
+        gain._maybe(ggain)
+        bias._maybe(gbias)
 
     return Tensor._make(y2.reshape(shp), (x, gain, bias), bwd)
 

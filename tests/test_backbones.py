@@ -101,7 +101,7 @@ def test_mllm_visual_slice_selects_visual_tokens(rng):
 def test_geo_decode_roundtrip(rng):
     geo, _ = build_geo()
     scenes = make_scenes(rng, 3, n_objects=3)
-    tokens = geo.forward(scenes).tokens.data
+    tokens = geo.forward(scenes).data
     decoded = geo.decode(tokens)
     want = np.stack([s.object_positions for s in scenes])
     assert np.max(np.abs(decoded - want)) < 1e-10
@@ -111,8 +111,8 @@ def test_geo_translation_locality():
     geo, _ = build_geo()
     base = SceneSpec(np.array([[0.2, 0.2, 0.2], [0.7, 0.7, 0.7]]), [1, 2], 0)
     moved = SceneSpec(np.array([[0.2, 0.2, 0.2], [0.7, 0.9, 0.7]]), [1, 2], 0)
-    t0 = geo.forward([base]).tokens.data[0]
-    t1 = geo.forward([moved]).tokens.data[0]
+    t0 = geo.forward([base]).data[0]
+    t1 = geo.forward([moved]).data[0]
     np.testing.assert_array_equal(t0[0], t1[0])
     assert np.max(np.abs(t0[1] - t1[1])) > 0
 
@@ -129,7 +129,7 @@ def test_geo_frozen_params_take_no_grad(rng):
     scenes = make_scenes(rng, 2, n_objects=2)
 
     def loss():
-        t = geo.forward(scenes).tokens
+        t = geo.forward(scenes)
         return (t * t).mean()
 
     assert grad_check(loss, store, rng.derive(0), n_coords=4) == 0.0
@@ -141,15 +141,6 @@ def test_geo_capacity_error(rng):
     scenes = make_scenes(rng, 1, n_objects=3)
     with pytest.raises(CapacityError):
         geo.forward(scenes)
-
-
-def test_geo_global_token_is_patch_mean(rng):
-    geo, _ = build_geo()
-    scenes = make_scenes(rng, 2, n_objects=3)
-    out = geo.forward(scenes)
-    np.testing.assert_allclose(out.global_token.data,
-                               out.tokens.data.mean(axis=1, keepdims=True),
-                               atol=1e-14)
 
 
 # ------------------------------------------------------------------ timestep embedding

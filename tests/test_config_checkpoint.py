@@ -1,4 +1,5 @@
 """Config parsing/round-trips and binary checkpoint integrity."""
+import dataclasses
 import functools
 import json
 import struct
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_cfg
 from geofuse.checkpoint import load_checkpoint, read_header, save_checkpoint
-from geofuse.config import ExperimentConfig
+from geofuse.config import ARCHS, CORRUPTIONS, SCHEME_IDS, SPARSE_PHASES, ExperimentConfig
 from geofuse.errors import CheckpointError, ConfigError
 from geofuse.runner import build_policy
 
@@ -73,10 +74,46 @@ def test_config_rejects_malformed_line():
     "corruption=blur", "corruption=gaussian\ncorruption_sigma=0",
     "heads=3",  # d=32
     "euler_steps=0", "tau_alpha=0", "tau_beta=nan", "midlayer_k=99",
+    "n_layers=0", "batch_size=0", "horizon=0", "d=0\nheads=1", "train_steps=-1",
+    "n_dit_layers=0", "arch=pi\nn_dit_layers=5",  # n_layers=4
+    "d_vggt=0", "d_action=0",
 ])
 def test_config_rejects_out_of_range_values_when_parsed(text):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text(text)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config that passes validation: every field drawn from its type,
+    with the coupled sizes drawn so that they agree."""
+    choices = {"scheme": SCHEME_IDS, "arch": ARCHS, "sparse_phase": SPARSE_PHASES,
+               "corruption": CORRUPTIONS}
+    kw = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in choices:
+            kw[f.name] = draw(st.sampled_from(choices[f.name]))
+        elif f.type == "bool":
+            kw[f.name] = draw(st.booleans())
+        elif f.type == "int":
+            kw[f.name] = draw(st.integers(1, 64))
+        else:  # positive and finite, so NaN never breaks equality
+            kw[f.name] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    kw["seed"] = draw(st.integers(-2**70, 2**70))
+    kw["d"] = kw["heads"] * draw(st.integers(1, 8))
+    kw["n_dit_layers"] = draw(st.integers(1, kw["n_layers"]))
+    kw["midlayer_k"] = draw(st.integers(-1, kw["n_layers"] - 1))
+    kw["sparse_k"] = draw(st.integers(0, 64))
+    kw["train_steps"] = draw(st.integers(0, 64))
+    return ExperimentConfig(**kw)
+
+
+@given(valid_configs())
+def test_config_text_round_trip_is_exact(cfg):
+    text = cfg.to_text()
+    back = ExperimentConfig.from_text(text)
+    assert back == cfg
+    assert back.to_text() == text
 
 
 def test_config_widens_an_int_for_a_float_field():

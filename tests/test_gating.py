@@ -13,10 +13,9 @@ from geofuse.gating import (
     gate_and_fuse,
     init_threedmix_params,
     layerwise_fuse,
-    project_geo,
     sparse_layer_schedule,
 )
-from geofuse.nn import grad_check, mse
+from geofuse.nn import grad_check, linear, mse
 from geofuse.rng import RngStream
 from geofuse.tensor import ParamSet, Tensor
 
@@ -56,16 +55,17 @@ def random_params(rng, d_vggt, d):
 
 
 # ------------------------------------------------------------------ projection
+# the geometry projection is a bias-free `linear` map into the semantic width
 
 def test_project_geo_identity():
     f = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)))
-    out = project_geo(f, Tensor(np.eye(4)))
+    out = linear(f, Tensor(np.eye(4)))
     np.testing.assert_array_equal(out.data, f.data)
 
 
 def test_project_geo_zero_input(rng):
     w = Tensor(rng.normal((6, 4)))
-    out = project_geo(Tensor(np.zeros((2, 3, 6))), w)
+    out = linear(Tensor(np.zeros((2, 3, 6))), w)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -73,8 +73,8 @@ def test_project_geo_has_no_bias(rng):
     """Doubling the input exactly doubles the output (pure linearity)."""
     w = Tensor(rng.normal((6, 4)))
     f = rng.normal((2, 3, 6))
-    y1 = project_geo(Tensor(f), w).data
-    y2 = project_geo(Tensor(2 * f), w).data
+    y1 = linear(Tensor(f), w).data
+    y2 = linear(Tensor(2 * f), w).data
     np.testing.assert_allclose(y2, 2 * y1, atol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_zero_gate_weights_give_half_gate(rng):
     params, _ = random_params(rng, 6, d)
     params.gate.w_gate.value.data[:] = 0.0
     h = Tensor(rng.normal((2, 4, d)))
-    f_geo = project_geo(Tensor(rng.normal((2, n, 6))), params.w_proj)
+    f_geo = linear(Tensor(rng.normal((2, n, 6))), params.w_proj)
     gate, fused = gate_and_fuse(h, f_geo, params.gate)
     np.testing.assert_array_equal(gate.data, 0.5)
     s = h.data.mean(axis=1, keepdims=True)
@@ -98,7 +98,7 @@ def test_gate_saturation_extremes(rng):
     d = 5
     params, _ = random_params(rng, 6, d)
     h = Tensor(rng.normal((2, 4, d)))
-    f_geo = project_geo(Tensor(rng.normal((2, 3, 6))), params.w_proj)
+    f_geo = linear(Tensor(rng.normal((2, 3, 6))), params.w_proj)
     s = h.data.mean(axis=1, keepdims=True)
 
     _, semantic_only = gate_and_fuse(h, f_geo, params.gate, logit_offset=50.0)
@@ -135,7 +135,7 @@ def test_fusion_matches_loop_oracle_on_random_shapes():
                                   params.gate.w_gate.value.data,
                                   params.gate.w_s.value.data,
                                   params.gate.w_g.value.data)
-        assert np.max(np.abs(cond.tokens.data - want)) < 1e-12
+        assert np.max(np.abs(cond.data - want)) < 1e-12
 
 
 def test_gate_gradient_liveness(rng):
@@ -147,7 +147,7 @@ def test_gate_gradient_liveness(rng):
     target = rng.normal((2, 7, 5))
 
     def loss():
-        return mse(fuse_single(h, f_vggt, params).tokens, Tensor(target))
+        return mse(fuse_single(h, f_vggt, params), Tensor(target))
 
     assert grad_check(loss, store, rng.derive(3), n_coords=40) < 1e-4
     assert params.gate.w_gate.value.grad is not None
@@ -158,7 +158,7 @@ def test_default_init_starts_at_half_gate(rng):
     store = ParamSet()
     params = init_threedmix_params(store, rng, "mix", 6, 5)
     h = Tensor(rng.normal((2, 4, 5)))
-    f_geo = project_geo(Tensor(rng.normal((2, 3, 6))), params.w_proj)
+    f_geo = linear(Tensor(rng.normal((2, 3, 6))), params.w_proj)
     gate, _ = gate_and_fuse(h, f_geo, params.gate)
     np.testing.assert_array_equal(gate.data, 0.5)
 
@@ -169,22 +169,22 @@ def test_conditioning_length_arithmetic(rng):
     h = Tensor(rng.normal((2, 4, 5)))
     fused = Tensor(rng.normal((2, 3, 5)))
     cond = build_conditioning(h, fused)
-    assert cond.tokens.shape == (2, 7, 5)
-    assert (cond.semantic_len, cond.geo_len) == (4, 3)
+    assert cond.shape == (2, 7, 5)
+    np.testing.assert_array_equal(cond.data[:, 4:, :], fused.data)
 
 
 def test_conditioning_without_geo_is_the_input(rng):
     h = Tensor(rng.normal((2, 4, 5)))
-    assert build_conditioning(h, None).tokens is h
+    assert build_conditioning(h, None) is h
     empty = Tensor(np.zeros((2, 0, 5)))
-    assert build_conditioning(h, empty).tokens is h
+    assert build_conditioning(h, empty) is h
 
 
 def test_conditioning_prefix_is_bit_identical(rng):
     h = Tensor(rng.normal((2, 4, 5)))
     fused = Tensor(rng.normal((2, 3, 5)))
     cond = build_conditioning(h, fused)
-    np.testing.assert_array_equal(cond.tokens.data[:, :4, :], h.data)
+    np.testing.assert_array_equal(cond.data[:, :4, :], h.data)
 
 
 def test_conditioning_width_mismatch(rng):
@@ -196,8 +196,8 @@ def test_geo_count_changes_only_geo_len(rng):
     h = Tensor(rng.normal((2, 4, 5)))
     for n in (1, 2, 3):
         cond = build_conditioning(h, Tensor(rng.normal((2, n, 5))))
-        assert cond.semantic_len == 4 and cond.geo_len == n
-        np.testing.assert_array_equal(cond.tokens.data[:, :4, :], h.data)
+        assert cond.shape == (2, 4 + n, 5)
+        np.testing.assert_array_equal(cond.data[:, :4, :], h.data)
 
 
 # ------------------------------------------------------------------ layer-wise
@@ -228,8 +228,8 @@ def test_layerwise_single_layer_equals_groot_path(rng):
     h = Tensor(rng.normal((2, 4, 5)))
     f_vggt = Tensor(rng.normal((2, 3, 6)))
     single = ThreeDMixParams(params.w_proj, params.per_layer[0])
-    a = fuse_single(h, f_vggt, single).tokens.data
-    b = layerwise_fuse([h], f_vggt, params)[0].tokens.data
+    a = fuse_single(h, f_vggt, single).data
+    b = layerwise_fuse([h], f_vggt, params)[0].data
     np.testing.assert_array_equal(a, b)
 
 
@@ -239,7 +239,7 @@ def test_layerwise_identical_layers_are_symmetric(rng):
     f_vggt = Tensor(rng.normal((2, 3, 6)))
     outs = layerwise_fuse([h, h, h], f_vggt, params)
     for o in outs[1:]:
-        np.testing.assert_array_equal(outs[0].tokens.data, o.tokens.data)
+        np.testing.assert_array_equal(outs[0].data, o.data)
 
 
 def test_layerwise_perturbation_locality(rng):
@@ -250,9 +250,9 @@ def test_layerwise_perturbation_locality(rng):
     bumped = list(hs)
     bumped[1] = Tensor(hs[1].data + 0.25)
     out = layerwise_fuse(bumped, f_vggt, params)
-    np.testing.assert_array_equal(ref[0].tokens.data, out[0].tokens.data)
-    np.testing.assert_array_equal(ref[2].tokens.data, out[2].tokens.data)
-    assert np.max(np.abs(ref[1].tokens.data - out[1].tokens.data)) > 0
+    np.testing.assert_array_equal(ref[0].data, out[0].data)
+    np.testing.assert_array_equal(ref[2].data, out[2].data)
+    assert np.max(np.abs(ref[1].data - out[1].data)) > 0
 
 
 def test_layerwise_length_mismatch(rng):
@@ -270,8 +270,8 @@ def test_layerwise_skipped_layers_get_plain_semantics(rng):
     hs = [Tensor(rng.normal((2, 4, 5))) for _ in range(2)]
     f_vggt = Tensor(rng.normal((2, 3, 6)))
     outs = layerwise_fuse(hs, f_vggt, params, schedule=[True, False])
-    assert outs[0].tokens.shape[1] == 7
-    assert outs[1].tokens is hs[1]
+    assert outs[0].shape[1] == 7
+    assert outs[1] is hs[1]
 
 
 # ------------------------------------------------------------------ schedule

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_scenes, tiny_cfg, tiny_policy
-from geofuse.backbones import GeoTokens
 from geofuse.errors import ConfigError, SchemeContractError
-from geofuse.nn import cosine_rows, grad_check
+from geofuse.nn import cosine_rows, cross_attention, grad_check, linear
 from geofuse.rng import RngStream
 from geofuse.schemes import SCHEME_IDS, GateMixer
 from geofuse.tensor import ParamSet, Tensor
@@ -93,8 +92,7 @@ def test_gate_mixer_saturated_gate_selects_frame_path(rng):
     store = ParamSet()
     mixer = GateMixer(store, rng, "m", 6, 5)
     tokens = Tensor(rng.normal((2, 3, 6)))
-    geo = GeoTokens(tokens, tokens.mean(axis=1, keepdims=True))
-    out = mixer(geo, logit_offset=50.0).data
+    out = mixer(tokens, tokens.mean(axis=1, keepdims=True), logit_offset=50.0).data
     want = tokens.data @ mixer.w_proj.value.data
     assert np.max(np.abs(out - want)) < 1e-12
 
@@ -104,9 +102,9 @@ def test_gate_mixer_blend_of_equal_components_ignores_gate(rng):
     mixer = GateMixer(store, rng, "m", 6, 5)
     one = rng.normal((2, 1, 6))
     tokens = Tensor(np.repeat(one, 3, axis=1))  # frame == global
-    geo = GeoTokens(tokens, tokens.mean(axis=1, keepdims=True))
-    a = mixer(geo, logit_offset=17.0).data
-    b = mixer(geo, logit_offset=-17.0).data
+    pooled = tokens.mean(axis=1, keepdims=True)
+    a = mixer(tokens, pooled, logit_offset=17.0).data
+    b = mixer(tokens, pooled, logit_offset=-17.0).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -116,8 +114,7 @@ def test_gate_mixer_matches_loop_oracle(rng):
     mixer.w_mix.value.data[:] = rng.normal((8, 4), 0.5)
     tokens = rng.normal((2, 3, 4))
     glob = tokens.mean(axis=1, keepdims=True)
-    geo = GeoTokens(Tensor(tokens), Tensor(glob))
-    got = mixer(geo).data
+    got = mixer(Tensor(tokens), Tensor(glob)).data
     want = np.zeros((2, 3, 3))
     for b in range(2):
         for j in range(3):
@@ -126,14 +123,6 @@ def test_gate_mixer_matches_loop_oracle(rng):
             mixed = g * tokens[b, j] + (1 - g) * glob[b, 0]
             want[b, j] = mixed @ mixer.w_proj.value.data
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_gate_mixer_requires_global_component(rng):
-    store = ParamSet()
-    mixer = GateMixer(store, rng, "m", 6, 5)
-    geo = GeoTokens(Tensor(rng.normal((2, 3, 6))), None)
-    with pytest.raises(SchemeContractError):
-        mixer(geo)
 
 
 # ------------------------------------------------------------------ alignment losses
@@ -257,12 +246,23 @@ def test_visual_fusion_preserves_sequence_layout(rng, scenes):
     assert cond.shape == base_cond.shape
 
 
-def test_ae_fusion_branch_has_per_block_params():
+def test_ae_fusion_branch_has_per_block_params(rng):
+    """Block i's branch attends from its input over the projected geometry
+    with block i's own attention parameters."""
     pol = tiny_policy("ae_fusion")
-    assert len(pol.scheme.block_params) == pol.cfg.n_dit_layers
+    scheme, cfg = pol.scheme, pol.cfg
+    assert len(scheme.block_params) == cfg.n_dit_layers
     geo = pol.geo_tokens(make_scenes(RngStream(2, 2), 2, 2), training=False)
-    f_geo, params = pol.scheme.geo_branch(geo)
-    assert f_geo.shape[-1] == pol.cfg.d and params is pol.scheme.block_params
+    branch = scheme.geo_branch(geo)
+    zc = Tensor(rng.normal((2, cfg.horizon, cfg.d)))
+    f_geo = linear(geo, scheme.w_proj)
+    outs = []
+    for i, p in enumerate(scheme.block_params):
+        want = cross_attention(zc, f_geo, p["wq"], p["wk"], p["wv"], p["wo"], cfg.heads)
+        got = branch(i, zc).data
+        np.testing.assert_array_equal(got, want.data)
+        outs.append(got)
+    assert np.max(np.abs(outs[0] - outs[1])) > 0
 
 
 # ------------------------------------------------------------------ probe oracle
