@@ -43,6 +43,8 @@ class SceneSpec:
             raise ShapeError(f"object_positions must be (n, 3), got {self.object_positions.shape}")
         if np.any(self.object_positions < 0) or np.any(self.object_positions > 1):
             raise DomainError("object positions must lie in [0, 1]^3")
+        if any(i < 0 for i in self.object_ids):
+            raise DomainError(f"object ids must be >= 0, got {self.object_ids}")
         if not 0 <= self.instruction_id < len(self.object_ids):
             raise DomainError(
                 f"instruction_id {self.instruction_id} does not index "
@@ -73,26 +75,26 @@ class MLLMOutput:
         return h[:, self.instr_len : self.instr_len + self.n_visual, :]
 
 
-def sinusoid_table(n: int, d: int, max_freq: float = 100.0) -> np.ndarray:
-    """Fixed sin/cos positional table, rows indexed by position."""
+def _sinusoid(pos: np.ndarray, d: int) -> np.ndarray:
+    """len(pos) x d sin/cos features over a geometric frequency ladder 1..100."""
     if d % 2:
-        raise ConfigError(f"sinusoid table needs even dim, got {d}")
-    freqs = np.exp(np.linspace(0.0, np.log(max_freq), d // 2))
-    pos = np.arange(n)[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(pos), np.cos(pos)], axis=1)
+        raise ConfigError(f"sinusoidal features need an even dim, got {d}")
+    freqs = np.exp(np.linspace(0.0, np.log(100.0), d // 2))
+    ang = pos[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def sinusoid_table(n: int, d: int) -> np.ndarray:
+    """Fixed sin/cos positional table, rows indexed by position."""
+    return _sinusoid(np.arange(n), d)
 
 
 def timestep_embedding(tau, d: int) -> Tensor:
     """Sinusoidal embedding of flow time; tau scalar or per-sample vector."""
-    if d % 2:
-        raise ConfigError(f"timestep embedding needs even dim, got {d}")
     t = np.atleast_1d(np.asarray(tau, dtype=np.float64))
     if np.any(t < 0) or np.any(t > 1):
         raise DomainError(f"tau must lie in [0, 1], got {tau}")
-    freqs = np.exp(np.linspace(0.0, np.log(100.0), d // 2))
-    ang = t[:, None] * freqs[None, :]
-    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-    return Tensor(emb[:, None, :])  # B(or 1) x 1 x D
+    return Tensor(_sinusoid(t, d)[:, None, :])  # B(or 1) x 1 x D
 
 
 def _batch_indices(scenes: list[SceneSpec]):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import OBJECT_ID_POOL, ExperimentConfig
 from .errors import ConfigError, DomainError, TrainingError
 from .optim import AdaptiveOptimizer
 from .policy import FusionPolicy
@@ -53,12 +53,12 @@ def target_action(scene: SceneSpec, horizon: int = 4, d_action: int = 7) -> np.n
 
 
 def generate_episode(rng: RngStream, n_objects: int, n_patches: int = 8,
-                     id_pool: int = 16, horizon: int = 4, d_action: int = 7,
-                     split: str = "train") -> Episode:
-    if not 1 <= n_objects <= n_patches:
-        raise DomainError(f"n_objects must be in [1, {n_patches}], got {n_objects}")
+                     horizon: int = 4, d_action: int = 7, split: str = "train") -> Episode:
+    top = min(n_patches, OBJECT_ID_POOL)
+    if not 1 <= n_objects <= top:
+        raise DomainError(f"n_objects must be in [1, {top}], got {n_objects}")
     positions = rng.uniform((n_objects, 3))
-    ids = list(rng.generator.choice(id_pool, size=n_objects, replace=False))
+    ids = list(rng.generator.choice(OBJECT_ID_POOL, size=n_objects, replace=False))
     instruction = int(rng.integers(0, n_objects))
     scene = SceneSpec(positions, [int(i) for i in ids], instruction)
     return Episode(scene, target_action(scene, horizon, d_action), split)

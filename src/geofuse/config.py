@@ -26,6 +26,7 @@ SCHEME_IDS = (
     "spatial_forcing",
     "visual_fusion",
 )
+OBJECT_ID_POOL = 16  # object ids are drawn without replacement from range(16)
 ARCHS = ("groot", "pi")
 SPARSE_PHASES = ("first", "last")
 CORRUPTIONS = ("none", "zeros", "gaussian")
@@ -102,6 +103,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.train_steps < 0:
             raise ConfigError(f"train_steps must be >= 0, got {self.train_steps}")
+        if not 1 <= self.n_objects <= min(self.n_patches, OBJECT_ID_POOL):
+            raise ConfigError(f"n_objects must be in [1, min(n_patches, {OBJECT_ID_POOL})], "
+                              f"got {self.n_objects} with n_patches={self.n_patches}")
+        if not self.noise_std >= 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.arch == "pi" and self.n_dit_layers > self.n_layers:
             raise ConfigError(f"arch=pi conditions each of the {self.n_dit_layers} action "
                               f"blocks on its own backbone layer, but n_layers={self.n_layers}")

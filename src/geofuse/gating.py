@@ -1,11 +1,13 @@
 """Semantic-conditioned gated fusion of geometric tokens.
 
 The pipeline: project raw geometric patch tokens into the semantic width
-with a bias-free linear map, pool the semantic sequence into a global
-context, compute a per-position sigmoid gate from the (context, geometry)
-pair, blend the two projected streams, and append the blended tokens to
-the semantic sequence.  A layer-wise variant shares the geometry
-projection but gives every action block its own gate/blend parameters.
+with a bias-free linear map (`w_proj`), pool the semantic sequence into a
+global context, compute a per-position sigmoid gate from the (context,
+geometry) pair, blend the two projected streams, and append the blended
+tokens to the semantic sequence.  One layout serves both architectures:
+a shared `w_proj` plus a list of `GateParams`, one entry for the single
+conditioning sequence (groot) or one per action block (pi).  The gate
+itself, `sigmoid_gate`, is also the one `schemes.GateMixer` uses.
 Every step takes and returns plain Tensors.
 """
 from __future__ import annotations
@@ -30,18 +32,6 @@ class GateParams:
     w_g: Param     # D x D
 
 
-@dataclass
-class ThreeDMixParams:
-    w_proj: Param  # D_vggt x D, no bias
-    gate: GateParams
-
-
-@dataclass
-class LayerwiseThreeDMixParams:
-    w_proj: Param               # shared across layers
-    per_layer: list[GateParams]  # one gate/blend set per action block
-
-
 def init_gate_params(store: ParamSet, rng: RngStream, prefix: str, d: int) -> GateParams:
     return GateParams(
         w_gate=store.new(f"{prefix}.w_gate", np.zeros((2 * d, d))),
@@ -50,38 +40,23 @@ def init_gate_params(store: ParamSet, rng: RngStream, prefix: str, d: int) -> Ga
     )
 
 
-def init_threedmix_params(store: ParamSet, rng: RngStream, prefix: str,
-                          d_vggt: int, d: int) -> ThreeDMixParams:
-    return ThreeDMixParams(
-        w_proj=store.new(f"{prefix}.w_proj", init_matrix(rng, d_vggt, d)),
-        gate=init_gate_params(store, rng, prefix, d),
-    )
-
-
-def init_layerwise_params(store: ParamSet, rng: RngStream, prefix: str,
-                          d_vggt: int, d: int, n_layers: int) -> LayerwiseThreeDMixParams:
-    return LayerwiseThreeDMixParams(
-        w_proj=store.new(f"{prefix}.w_proj", init_matrix(rng, d_vggt, d)),
-        per_layer=[init_gate_params(store, rng, f"{prefix}.layer{i}", d)
-                   for i in range(n_layers)],
-    )
+def sigmoid_gate(a: Tensor, b: Tensor, w_gate, logit_offset: float = 0.0) -> Tensor:
+    """Per-position gate sigmoid([a; b] @ w_gate + logit_offset), strictly in
+    (0, 1).  logit_offset is a test hook for forcing gate saturation."""
+    logits = linear(concat([a, b], axis=2), w_gate)
+    if logit_offset:
+        logits = logits + logit_offset
+    return logits.sigmoid()
 
 
 def gate_and_fuse(h_mllm: Tensor, f_geo: Tensor, params: GateParams,
                   logit_offset: float = 0.0) -> tuple[Tensor, Tensor]:
     """Blend pooled semantic context with geometric tokens per position.
 
-    Returns (gate, fused), both B x N x D; gate values are strictly in
-    (0, 1).  logit_offset is a test hook for forcing gate saturation.
+    Returns (gate, fused), both B x N x D.
     """
-    n = f_geo.shape[1]
-    s = mean_pool_seq(h_mllm)
-    s_b = expand_seq(s, n)
-    pair = concat([s_b, f_geo], axis=2)
-    logits = linear(pair, params.w_gate)
-    if logit_offset:
-        logits = logits + logit_offset
-    gate = logits.sigmoid()
+    s_b = expand_seq(mean_pool_seq(h_mllm), f_geo.shape[1])
+    gate = sigmoid_gate(s_b, f_geo, params.w_gate, logit_offset)
     fused = gate * linear(s_b, params.w_s) + (1.0 - gate) * linear(f_geo, params.w_g)
     return gate, fused
 
@@ -101,40 +76,34 @@ def build_conditioning(h_mllm: Tensor, f_fused) -> Tensor:
     return concat([h_mllm, f_fused], axis=1)
 
 
-def fuse_single(h_mllm: Tensor, f_vggt: Tensor, params: ThreeDMixParams,
+def fuse_single(h_mllm: Tensor, f_vggt: Tensor, w_proj, gate: GateParams,
                 logit_offset: float = 0.0) -> Tensor:
     """Full single-sequence pipeline: project (bias-free), gate, blend, append."""
-    f_geo = linear(f_vggt, params.w_proj)
-    _, fused = gate_and_fuse(h_mllm, f_geo, params.gate, logit_offset)
+    f_geo = linear(f_vggt, w_proj)
+    _, fused = gate_and_fuse(h_mllm, f_geo, gate, logit_offset)
     return build_conditioning(h_mllm, fused)
 
 
-def layerwise_fuse(per_layer_h: list, f_vggt: Tensor,
-                   params: LayerwiseThreeDMixParams,
-                   schedule: list | None = None) -> list:
+def layerwise_fuse(per_layer_h: list, f_vggt: Tensor, w_proj, gates: list,
+                   schedule: list) -> list:
     """Layer-wise variant: geometry projected once, gated per layer.
 
-    Returns one conditioning tensor per layer.  schedule, when given, is a
-    list of fuse/skip flags; a skipped layer's conditioning is its semantic
-    sequence itself (no geometric tokens appended).
+    Returns one conditioning tensor per layer.  schedule holds one fuse/skip
+    flag per layer; a skipped layer's conditioning is its semantic sequence
+    itself (no geometric tokens appended).
     """
-    if len(per_layer_h) != len(params.per_layer):
-        raise ConfigError(
-            f"{len(per_layer_h)} hidden-state sets vs {len(params.per_layer)} "
-            "per-layer param sets"
-        )
-    if schedule is None:
-        schedule = [True] * len(per_layer_h)
+    if len(per_layer_h) != len(gates):
+        raise ConfigError(f"{len(per_layer_h)} hidden-state sets vs {len(gates)} gates")
     if len(schedule) != len(per_layer_h):
         raise ConfigError("schedule length does not match layer count")
-    f_geo = linear(f_vggt, params.w_proj)
+    f_geo = linear(f_vggt, w_proj)
     out = []
-    for h, gate_params, fuse in zip(per_layer_h, params.per_layer, schedule):
+    for h, gate, fuse in zip(per_layer_h, gates, schedule):
         if fuse:
-            _, fused = gate_and_fuse(h, f_geo, gate_params)
+            _, fused = gate_and_fuse(h, f_geo, gate)
             out.append(build_conditioning(h, fused))
         else:
-            out.append(build_conditioning(h, None))
+            out.append(h)
     return out
 
 

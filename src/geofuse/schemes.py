@@ -22,9 +22,9 @@ from .errors import SchemeContractError, ShapeError
 from .gating import (
     build_conditioning,
     fuse_single,
-    init_layerwise_params,
-    init_threedmix_params,
+    init_gate_params,
     layerwise_fuse,
+    sigmoid_gate,
     sparse_layer_schedule,
 )
 from .nn import (attention_params, cosine_rows, cross_attention, expand_seq, init_matrix,
@@ -108,10 +108,7 @@ class GateMixer:
     def __call__(self, geo: Tensor, pooled: Tensor, logit_offset: float = 0.0) -> Tensor:
         """geo: B x N x D_vggt patch tokens; pooled: their B x 1 x D_vggt mean."""
         glob = expand_seq(pooled, geo.shape[1])
-        logits = linear(concat([geo, glob], axis=2), self.w_mix)
-        if logit_offset:
-            logits = logits + logit_offset
-        gate = logits.sigmoid()
+        gate = sigmoid_gate(geo, glob, self.w_mix, logit_offset)
         mixed = gate * geo + (1.0 - gate) * glob
         return linear(mixed, self.w_proj)
 
@@ -206,30 +203,34 @@ class CrossAttnFusion(ConcatFusion):
 
 @register
 class GatedFusion(FusionScheme):
-    """Semantic-conditioned gated blending of geometry (the headline module)."""
+    """Semantic-conditioned gated blending of geometry (the headline module).
+
+    One bias-free projection `w_proj` feeds a list of gates: one gate for
+    the single conditioning sequence (groot), or one per action block
+    (pi), where a sparse schedule picks the blocks that fuse."""
 
     id = "gated_fusion"
     inference_geo_required = True
     training_geo_required = True
 
     def build(self, store, rng):
-        d, dv = self.cfg.d, self.cfg.d_vggt
-        if self.cfg.arch == "pi":
-            self.params = init_layerwise_params(store, rng, "scheme.gated", dv, d,
-                                                self.cfg.n_dit_layers)
-            # a fuse/skip flag per action block; skipped blocks read plain semantics
-            self.schedule = sparse_layer_schedule(self.cfg.n_dit_layers, self.cfg.sparse_k,
-                                                  self.cfg.sparse_phase)
-        else:
-            self.params = init_threedmix_params(store, rng, "scheme.gated", dv, d)
+        d, n = self.cfg.d, self.cfg.n_dit_layers
+        self.w_proj = store.new("scheme.gated.w_proj", init_matrix(rng, self.cfg.d_vggt, d))
+        prefixes = ([f"scheme.gated.layer{i}" for i in range(n)] if self.cfg.arch == "pi"
+                    else ["scheme.gated"])
+        self.gates = [init_gate_params(store, rng, p, d) for p in prefixes]
+        # read under pi only: a fuse/skip flag per action block; skipped blocks
+        # read plain semantics
+        self.schedule = sparse_layer_schedule(n, self.cfg.sparse_k, self.cfg.sparse_phase)
 
     def conditioning(self, mllm_out, geo):
         if self.null_geo:
             return super().conditioning(mllm_out, geo)
         geo = self._need(geo)
         if self.cfg.arch == "pi":
-            return layerwise_fuse(self._pi_layers(mllm_out), geo, self.params, self.schedule)
-        return fuse_single(mllm_out.final, geo, self.params)
+            return layerwise_fuse(self._pi_layers(mllm_out), geo, self.w_proj, self.gates,
+                                  self.schedule)
+        return fuse_single(mllm_out.final, geo, self.w_proj, self.gates[0])
 
 
 @register

@@ -208,14 +208,6 @@ class Tensor:
 
         return Tensor._make(y, (self,), bwd)
 
-    def tanh(self):
-        y = np.tanh(self.data)
-
-        def bwd(g):
-            self._maybe(g * (1.0 - y * y))
-
-        return Tensor._make(y, (self,), bwd)
-
     def gelu(self):
         # tanh approximation; smooth everywhere, which keeps central
         # differences honest in grad_check
@@ -356,9 +348,6 @@ class ParamSet:
 
     def ids(self):
         return list(self._by_id)
-
-    def trainable(self):
-        return [p for p in self if p.trainable]
 
     def zero_grad(self):
         for p in self:

@@ -15,8 +15,8 @@ from geofuse.bench import dataset_hash, evaluate_policy, train_policy
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.config import ExperimentConfig
 from geofuse.flow import euler_integrate, fm_training_targets
-from geofuse.gating import fuse_single, gate_and_fuse, init_threedmix_params
-from geofuse.nn import grad_check, linear, mean_pool_seq, expand_seq
+from geofuse.gating import fuse_single, gate_and_fuse, init_gate_params
+from geofuse.nn import grad_check, init_matrix, linear, mean_pool_seq, expand_seq
 from geofuse.rng import RngStream
 from geofuse.runner import (
     RunRecord,
@@ -75,14 +75,16 @@ def test_gated_fusion_matches_position_loop_oracle(announce):
         d = int(rng.integers(1, 6))
         dv = int(rng.integers(1, 6))
         store = ParamSet()
-        params = init_threedmix_params(store, rng.derive(case), "mix", dv, d)
-        params.gate.w_gate.value.data[:] = rng.normal((2 * d, d))
+        r = rng.derive(case)
+        w_proj = store.new("mix.w_proj", init_matrix(r, dv, d))
+        gate = init_gate_params(store, r, "mix", d)
+        gate.w_gate.value.data[:] = rng.normal((2 * d, d))
         h = Tensor(rng.normal((b, l, d)))
         f_vggt = Tensor(rng.normal((b, n, dv)))
-        got = fuse_single(h, f_vggt, params).data
+        got = fuse_single(h, f_vggt, w_proj, gate).data
         want = _mix_oracle(h.data, f_vggt.data,
-                           params.w_proj.value.data, params.gate.w_gate.value.data,
-                           params.gate.w_s.value.data, params.gate.w_g.value.data)
+                           w_proj.value.data, gate.w_gate.value.data,
+                           gate.w_s.value.data, gate.w_g.value.data)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
@@ -97,16 +99,17 @@ def test_gated_fusion_matches_position_loop_oracle(announce):
 def test_gate_saturation_selects_pure_streams(announce):
     rng = RngStream(32, 0)
     store = ParamSet()
-    params = init_threedmix_params(store, rng, "mix", 6, 5)
-    params.gate.w_gate.value.data[:] = rng.normal((10, 5))
+    w_proj = store.new("mix.w_proj", init_matrix(rng, 6, 5))
+    gate = init_gate_params(store, rng, "mix", 5)
+    gate.w_gate.value.data[:] = rng.normal((10, 5))
     h = Tensor(rng.normal((2, 4, 5)))
     f_vggt = Tensor(rng.normal((2, 3, 6)))
-    f_geo = linear(f_vggt, params.w_proj)
+    f_geo = linear(f_vggt, w_proj)
     s_b = expand_seq(mean_pool_seq(h), 3)
-    _, hi = gate_and_fuse(h, f_geo, params.gate, logit_offset=50.0)
-    _, lo = gate_and_fuse(h, f_geo, params.gate, logit_offset=-50.0)
-    err_hi = float(np.max(np.abs(hi.data - linear(s_b, params.gate.w_s).data)))
-    err_lo = float(np.max(np.abs(lo.data - linear(f_geo, params.gate.w_g).data)))
+    _, hi = gate_and_fuse(h, f_geo, gate, logit_offset=50.0)
+    _, lo = gate_and_fuse(h, f_geo, gate, logit_offset=-50.0)
+    err_hi = float(np.max(np.abs(hi.data - linear(s_b, gate.w_s).data)))
+    err_lo = float(np.max(np.abs(lo.data - linear(f_geo, gate.w_g).data)))
     ok = err_hi < 1e-12 and err_lo < 1e-12
     announce(2, "saturated gates select the pure streams", ok,
              f"errs {err_hi:.2e}/{err_lo:.2e}")

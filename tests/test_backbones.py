@@ -33,6 +33,9 @@ def build_geo(**kw):
 def test_scene_rejects_out_of_cube_positions():
     with pytest.raises(DomainError):
         SceneSpec(np.array([[0.5, 0.5, 1.5]]), [3], 0)
+    # a negative id would read the embedding table from its end
+    with pytest.raises(DomainError):
+        SceneSpec(np.array([[0.5, 0.5, 0.5]]), [-1], 0)
 
 
 def test_scene_rejects_dangling_instruction():

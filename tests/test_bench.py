@@ -129,6 +129,18 @@ def test_episode_line_round_trip(rng):
     assert ep.split == back.split
 
 
+@pytest.mark.parametrize("field,value", [
+    (3, "-1"),   # object id
+    (4, "1.5"),  # x coordinate
+    (1, "3"),    # instruction index of a 3-object scene
+])
+def test_episode_line_with_out_of_range_value_raises_domain_error(rng, field, value):
+    toks = episode_to_line(generate_episode(rng, 3)).split()
+    toks[field] = value
+    with pytest.raises(DomainError):
+        episode_from_line(" ".join(toks))
+
+
 @st.composite
 def episodes(draw):
     """(episode, horizon, d_action) with arbitrary finite floats."""

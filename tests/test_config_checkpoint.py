@@ -77,6 +77,7 @@ def test_config_rejects_malformed_line():
     "n_layers=0", "batch_size=0", "horizon=0", "d=0\nheads=1", "train_steps=-1",
     "n_dit_layers=0", "arch=pi\nn_dit_layers=5",  # n_layers=4
     "d_vggt=0", "d_action=0",
+    "noise_std=-1", "noise_std=nan", "n_objects=17\nn_patches=20",  # 16 object ids
 ])
 def test_config_rejects_out_of_range_values_when_parsed(text):
     with pytest.raises(ConfigError):
@@ -105,6 +106,7 @@ def valid_configs(draw):
     kw["midlayer_k"] = draw(st.integers(-1, kw["n_layers"] - 1))
     kw["sparse_k"] = draw(st.integers(0, 64))
     kw["train_steps"] = draw(st.integers(0, 64))
+    kw["n_objects"] = draw(st.integers(1, min(kw["n_patches"], 16)))
     return ExperimentConfig(**kw)
 
 

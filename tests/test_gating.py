@@ -6,16 +6,14 @@ import pytest
 from geofuse.errors import ConfigError, ShapeError
 from geofuse.gating import (
     GateParams,
-    LayerwiseThreeDMixParams,
-    ThreeDMixParams,
     build_conditioning,
     fuse_single,
     gate_and_fuse,
-    init_threedmix_params,
+    init_gate_params,
     layerwise_fuse,
     sparse_layer_schedule,
 )
-from geofuse.nn import grad_check, linear, mse
+from geofuse.nn import grad_check, init_matrix, linear, mse
 from geofuse.rng import RngStream
 from geofuse.tensor import ParamSet, Tensor
 
@@ -43,15 +41,20 @@ def fused_oracle(h, f_vggt, w_proj, w_gate, w_s, w_g):
 
 
 def random_params(rng, d_vggt, d):
+    """(w_proj, gate) with every weight drawn at random."""
     store = ParamSet()
-    return ThreeDMixParams(
-        w_proj=store.new("w_proj", rng.normal((d_vggt, d), 0.6)),
-        gate=GateParams(
-            w_gate=store.new("w_gate", rng.normal((2 * d, d), 0.6)),
-            w_s=store.new("w_s", rng.normal((d, d), 0.6)),
-            w_g=store.new("w_g", rng.normal((d, d), 0.6)),
-        ),
-    ), store
+    w_proj = store.new("w_proj", rng.normal((d_vggt, d), 0.6))
+    return w_proj, GateParams(
+        w_gate=store.new("w_gate", rng.normal((2 * d, d), 0.6)),
+        w_s=store.new("w_s", rng.normal((d, d), 0.6)),
+        w_g=store.new("w_g", rng.normal((d, d), 0.6)),
+    )
+
+
+def default_params(store, rng, d_vggt, d):
+    """(w_proj, gate) as the gated scheme initialises them under groot."""
+    w_proj = store.new("mix.w_proj", init_matrix(rng, d_vggt, d))
+    return w_proj, init_gate_params(store, rng, "mix", d)
 
 
 # ------------------------------------------------------------------ projection
@@ -82,39 +85,39 @@ def test_project_geo_has_no_bias(rng):
 
 def test_zero_gate_weights_give_half_gate(rng):
     d, n = 5, 3
-    params, _ = random_params(rng, 6, d)
-    params.gate.w_gate.value.data[:] = 0.0
+    w_proj, params = random_params(rng, 6, d)
+    params.w_gate.value.data[:] = 0.0
     h = Tensor(rng.normal((2, 4, d)))
-    f_geo = linear(Tensor(rng.normal((2, n, 6))), params.w_proj)
-    gate, fused = gate_and_fuse(h, f_geo, params.gate)
+    f_geo = linear(Tensor(rng.normal((2, n, 6))), w_proj)
+    gate, fused = gate_and_fuse(h, f_geo, params)
     np.testing.assert_array_equal(gate.data, 0.5)
     s = h.data.mean(axis=1, keepdims=True)
-    want = 0.5 * (s @ params.gate.w_s.value.data) \
-        + 0.5 * (f_geo.data @ params.gate.w_g.value.data)
+    want = 0.5 * (s @ params.w_s.value.data) \
+        + 0.5 * (f_geo.data @ params.w_g.value.data)
     np.testing.assert_allclose(fused.data, want, atol=1e-12)
 
 
 def test_gate_saturation_extremes(rng):
     d = 5
-    params, _ = random_params(rng, 6, d)
+    w_proj, params = random_params(rng, 6, d)
     h = Tensor(rng.normal((2, 4, d)))
-    f_geo = linear(Tensor(rng.normal((2, 3, 6))), params.w_proj)
+    f_geo = linear(Tensor(rng.normal((2, 3, 6))), w_proj)
     s = h.data.mean(axis=1, keepdims=True)
 
-    _, semantic_only = gate_and_fuse(h, f_geo, params.gate, logit_offset=50.0)
-    want = np.broadcast_to(s @ params.gate.w_s.value.data, semantic_only.data.shape)
+    _, semantic_only = gate_and_fuse(h, f_geo, params, logit_offset=50.0)
+    want = np.broadcast_to(s @ params.w_s.value.data, semantic_only.data.shape)
     assert np.max(np.abs(semantic_only.data - want)) < 1e-12
 
-    _, geo_only = gate_and_fuse(h, f_geo, params.gate, logit_offset=-50.0)
-    want = f_geo.data @ params.gate.w_g.value.data
+    _, geo_only = gate_and_fuse(h, f_geo, params, logit_offset=-50.0)
+    want = f_geo.data @ params.w_g.value.data
     assert np.max(np.abs(geo_only.data - want)) < 1e-12
 
 
 def test_gate_strictly_inside_unit_interval(rng):
-    params, _ = random_params(rng, 6, 5)
+    _, params = random_params(rng, 6, 5)
     h = Tensor(rng.normal((2, 4, 5), 2.0))
     f_geo = Tensor(rng.normal((2, 3, 5), 2.0))
-    gate, _ = gate_and_fuse(h, f_geo, params.gate)
+    gate, _ = gate_and_fuse(h, f_geo, params)
     assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
 
@@ -127,39 +130,39 @@ def test_fusion_matches_loop_oracle_on_random_shapes():
         n = int(r.integers(1, 4))
         d = int(r.integers(1, 6))
         dv = int(r.integers(1, 7))
-        params, _ = random_params(r, dv, d)
+        w_proj, params = random_params(r, dv, d)
         h = r.normal((b, l, d))
         f_vggt = r.normal((b, n, dv))
-        cond = fuse_single(Tensor(h), Tensor(f_vggt), params)
-        _, _, want = fused_oracle(h, f_vggt, params.w_proj.value.data,
-                                  params.gate.w_gate.value.data,
-                                  params.gate.w_s.value.data,
-                                  params.gate.w_g.value.data)
+        cond = fuse_single(Tensor(h), Tensor(f_vggt), w_proj, params)
+        _, _, want = fused_oracle(h, f_vggt, w_proj.value.data,
+                                  params.w_gate.value.data,
+                                  params.w_s.value.data,
+                                  params.w_g.value.data)
         assert np.max(np.abs(cond.data - want)) < 1e-12
 
 
 def test_gate_gradient_liveness(rng):
     """The gate weights receive a nonzero gradient from a fused-output loss."""
     store = ParamSet()
-    params = init_threedmix_params(store, rng, "mix", 6, 5)
+    w_proj, params = default_params(store, rng, 6, 5)
     h = Tensor(rng.normal((2, 4, 5)))
     f_vggt = Tensor(rng.normal((2, 3, 6)))
     target = rng.normal((2, 7, 5))
 
     def loss():
-        return mse(fuse_single(h, f_vggt, params), Tensor(target))
+        return mse(fuse_single(h, f_vggt, w_proj, params), Tensor(target))
 
     assert grad_check(loss, store, rng.derive(3), n_coords=40) < 1e-4
-    assert params.gate.w_gate.value.grad is not None
-    assert np.max(np.abs(params.gate.w_gate.value.grad)) > 0
+    assert params.w_gate.value.grad is not None
+    assert np.max(np.abs(params.w_gate.value.grad)) > 0
 
 
 def test_default_init_starts_at_half_gate(rng):
     store = ParamSet()
-    params = init_threedmix_params(store, rng, "mix", 6, 5)
+    w_proj, params = default_params(store, rng, 6, 5)
     h = Tensor(rng.normal((2, 4, 5)))
-    f_geo = linear(Tensor(rng.normal((2, 3, 6))), params.w_proj)
-    gate, _ = gate_and_fuse(h, f_geo, params.gate)
+    f_geo = linear(Tensor(rng.normal((2, 3, 6))), w_proj)
+    gate, _ = gate_and_fuse(h, f_geo, params)
     np.testing.assert_array_equal(gate.data, 0.5)
 
 
@@ -203,6 +206,7 @@ def test_geo_count_changes_only_geo_len(rng):
 # ------------------------------------------------------------------ layer-wise
 
 def layerwise_params(rng, d_vggt, d, n_layers, tie=False):
+    """(w_proj, one random gate per layer); tie=True makes the gates equal."""
     store = ParamSet()
     w_proj = store.new("w_proj", rng.normal((d_vggt, d), 0.6))
     layers = []
@@ -220,56 +224,54 @@ def layerwise_params(rng, d_vggt, d, n_layers, tie=False):
             gp.w_g.value.data[:] = base.w_g.value.data
         base = base or gp
         layers.append(gp)
-    return LayerwiseThreeDMixParams(w_proj, layers), store
+    return w_proj, layers
 
 
 def test_layerwise_single_layer_equals_groot_path(rng):
-    params, _ = layerwise_params(rng.derive(0), 6, 5, 1)
+    w_proj, gates = layerwise_params(rng.derive(0), 6, 5, 1)
     h = Tensor(rng.normal((2, 4, 5)))
     f_vggt = Tensor(rng.normal((2, 3, 6)))
-    single = ThreeDMixParams(params.w_proj, params.per_layer[0])
-    a = fuse_single(h, f_vggt, single).data
-    b = layerwise_fuse([h], f_vggt, params)[0].data
+    a = fuse_single(h, f_vggt, w_proj, gates[0]).data
+    b = layerwise_fuse([h], f_vggt, w_proj, gates, [True])[0].data
     np.testing.assert_array_equal(a, b)
 
 
 def test_layerwise_identical_layers_are_symmetric(rng):
-    params, _ = layerwise_params(rng.derive(0), 6, 5, 3, tie=True)
+    w_proj, gates = layerwise_params(rng.derive(0), 6, 5, 3, tie=True)
     h = Tensor(rng.normal((2, 4, 5)))
     f_vggt = Tensor(rng.normal((2, 3, 6)))
-    outs = layerwise_fuse([h, h, h], f_vggt, params)
+    outs = layerwise_fuse([h, h, h], f_vggt, w_proj, gates, [True] * 3)
     for o in outs[1:]:
         np.testing.assert_array_equal(outs[0].data, o.data)
 
 
 def test_layerwise_perturbation_locality(rng):
-    params, _ = layerwise_params(rng.derive(0), 6, 5, 3)
+    w_proj, gates = layerwise_params(rng.derive(0), 6, 5, 3)
     hs = [Tensor(rng.normal((2, 4, 5))) for _ in range(3)]
     f_vggt = Tensor(rng.normal((2, 3, 6)))
-    ref = layerwise_fuse(hs, f_vggt, params)
+    ref = layerwise_fuse(hs, f_vggt, w_proj, gates, [True] * 3)
     bumped = list(hs)
     bumped[1] = Tensor(hs[1].data + 0.25)
-    out = layerwise_fuse(bumped, f_vggt, params)
+    out = layerwise_fuse(bumped, f_vggt, w_proj, gates, [True] * 3)
     np.testing.assert_array_equal(ref[0].data, out[0].data)
     np.testing.assert_array_equal(ref[2].data, out[2].data)
     assert np.max(np.abs(ref[1].data - out[1].data)) > 0
 
 
 def test_layerwise_length_mismatch(rng):
-    params, _ = layerwise_params(rng.derive(0), 6, 5, 2)
+    w_proj, gates = layerwise_params(rng.derive(0), 6, 5, 2)
     h = Tensor(rng.normal((2, 4, 5)))
     with pytest.raises(ConfigError):
-        layerwise_fuse([h], Tensor(rng.normal((2, 3, 6))), params)
+        layerwise_fuse([h], Tensor(rng.normal((2, 3, 6))), w_proj, gates, [True])
     with pytest.raises(ConfigError):
-        layerwise_fuse([h, h], Tensor(rng.normal((2, 3, 6))), params,
-                       schedule=[True])
+        layerwise_fuse([h, h], Tensor(rng.normal((2, 3, 6))), w_proj, gates, [True])
 
 
 def test_layerwise_skipped_layers_get_plain_semantics(rng):
-    params, _ = layerwise_params(rng.derive(0), 6, 5, 2)
+    w_proj, gates = layerwise_params(rng.derive(0), 6, 5, 2)
     hs = [Tensor(rng.normal((2, 4, 5))) for _ in range(2)]
     f_vggt = Tensor(rng.normal((2, 3, 6)))
-    outs = layerwise_fuse(hs, f_vggt, params, schedule=[True, False])
+    outs = layerwise_fuse(hs, f_vggt, w_proj, gates, [True, False])
     assert outs[0].shape[1] == 7
     assert outs[1] is hs[1]
 

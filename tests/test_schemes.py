@@ -42,6 +42,25 @@ def test_every_scheme_builds_in_both_archs():
             tiny_policy(sid, arch)
 
 
+# ------------------------------------------------------------------ gated layout
+# checkpoints store params by id in store order, so saved gated-fusion
+# models load only while this layout holds
+
+_GATE = [("w_gate", (16, 8)), ("w_s", (8, 8)), ("w_g", (8, 8))]
+
+
+@pytest.mark.parametrize("arch,prefixes", [
+    ("groot", ["scheme.gated"]),
+    ("pi", ["scheme.gated.layer0", "scheme.gated.layer1"]),
+])
+def test_gated_fusion_param_layout(arch, prefixes):
+    store = tiny_policy("gated_fusion", arch).store
+    got = [(p.id, p.value.shape) for p in store if p.id.startswith("scheme.")]
+    want = [("scheme.gated.w_proj", (6, 8))]
+    want += [(f"{pre}.{name}", shape) for pre in prefixes for name, shape in _GATE]
+    assert got == want
+
+
 # ------------------------------------------------------------------ nullability
 
 def null_configured_policy(sid):
