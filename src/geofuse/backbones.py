@@ -1,18 +1,19 @@
 """Toy stand-ins for the three neural components of the policy.
 
 - ToyMLLM: a small pre-LN transformer over instruction + per-object visual
-  tokens.  Visual tokens reveal object identity only; object *positions*
-  are deliberately withheld from this channel, so any policy conditioned
-  purely on the semantic stream is position-blind by construction.
+  tokens, in the layout `visual_span` names.  Visual tokens reveal object
+  identity only; object *positions* are deliberately withheld from this
+  channel, so any policy conditioned purely on the semantic stream is
+  position-blind by construction.  `embed` returns the B x L x D input
+  sequence and `run_layers` every layer's output, both plain Tensors.
 - GeoEncoder: frozen featurizer standing in for a pretrained 3D encoder.
   Each patch token is a fixed affine embedding of one object's position
   plus a fixed per-slot offset, so positions are exactly recoverable via
   a known linear decode (used as a test oracle).
-- ActionDiT: DiT-style action expert predicting flow-matching velocities,
-  conditioned via cross-attention in either single-sequence mode or
-  layer-wise mode (one conditioning sequence per block).  A scheme may add
-  a parallel read to every block as a closure; the expert never sees the
-  scheme's parameters.
+- ActionDiT: DiT-style action expert predicting flow-matching velocities.
+  Block i cross-attends over the i-th of one conditioning Tensor per
+  block, in both archs.  A scheme may add a parallel read to every block
+  as a closure; the expert never sees the scheme's parameters.
 """
 from __future__ import annotations
 
@@ -60,19 +61,12 @@ class SceneSpec:
         return self.object_positions[self.instruction_id]
 
 
-@dataclass
-class MLLMOutput:
-    per_layer: list  # n_layers Tensors, each B x L x D
-    instr_len: int
-    n_visual: int
+def visual_span(n_visual: int) -> tuple[int, int]:
+    """[lo, hi) positions of the visual tokens in a backbone sequence.
 
-    @property
-    def final(self) -> Tensor:
-        return self.per_layer[-1]
-
-    def visual_slice(self, layer: int) -> Tensor:
-        h = self.per_layer[layer]
-        return h[:, self.instr_len : self.instr_len + self.n_visual, :]
+    The layout: one instruction token, then one visual token per object, so
+    one per geometric patch token.  Schemes may append tokens after it."""
+    return 1, 1 + n_visual
 
 
 def _sinusoid(pos: np.ndarray, d: int) -> np.ndarray:
@@ -111,11 +105,9 @@ class ToyMLLM:
 
     def __init__(self, cfg: ExperimentConfig, store: ParamSet, rng: RngStream):
         self.cfg = cfg
-        self.layer_calls = 0  # test hook: each block must run exactly once per forward
         d = cfg.d
         self.tok_embed = store.new("mllm.tok_embed", rng.normal((cfg.vocab_size, d), 0.5))
         self.vis_embed = store.new("mllm.vis_embed", rng.normal((cfg.vocab_size, d), 0.5))
-        self.pos_table = sinusoid_table(cfg.l_max, d)
         self.blocks = []
         for i in range(cfg.n_layers):
             p = f"mllm.layer{i}"
@@ -129,30 +121,23 @@ class ToyMLLM:
                 }
             )
 
-    def embed(self, scenes: list[SceneSpec]) -> tuple[Tensor, int, int]:
-        """Token embeddings for a scene batch: (B x L x D, instr_len, n_visual)."""
+    def embed(self, scenes: list[SceneSpec]) -> Tensor:
+        """B x L x D token embeddings of a scene batch, laid out as
+        `visual_span` says, plus sin/cos positions for the length L."""
         instr, vis = _batch_indices(scenes)
         if np.any(instr >= self.cfg.vocab_size) or np.any(vis >= self.cfg.vocab_size):
             raise CapacityError("object id outside instruction vocabulary")
         e_instr = embedding(self.tok_embed.value, instr)
         e_vis = embedding(self.vis_embed.value, vis)
         x = concat([e_instr, e_vis], axis=1)
-        length = x.shape[1]
-        self._check_len(length)
-        return x + Tensor(self.pos_table[:length]), instr.shape[1], vis.shape[1]
-
-    def _check_len(self, length: int):
-        if length > self.cfg.l_max:
-            raise CapacityError(f"sequence length {length} exceeds L_max={self.cfg.l_max}")
+        return x + Tensor(sinusoid_table(x.shape[1], self.cfg.d))
 
     def run_layers(self, x: Tensor, mid_hook=None) -> list:
         """Run all blocks once, returning each block's output; `mid_hook`
         may rewrite the hidden states right after a designated layer."""
-        self._check_len(x.shape[1])
         per_layer = []
         h = x
         for i, blk in enumerate(self.blocks):
-            self.layer_calls += 1
             hn = layer_norm(h, blk["ln1"]["gain"].value, blk["ln1"]["bias"].value)
             a = cross_attention(
                 hn, hn,
@@ -166,10 +151,6 @@ class ToyMLLM:
                 h = mid_hook(i, h)
             per_layer.append(h)
         return per_layer
-
-    def forward(self, scenes: list[SceneSpec], mid_hook=None) -> MLLMOutput:
-        x, instr_len, n_vis = self.embed(scenes)
-        return MLLMOutput(self.run_layers(x, mid_hook), instr_len, n_vis)
 
 
 class GeoEncoder:
@@ -227,34 +208,28 @@ class ActionDiT:
         self.ln_out = norm_params(store, "dit.ln_out", d)
         self.out_proj = store.new("dit.out_proj", init_matrix(rng, d, cfg.d_action))
 
-    def forward(self, noisy: Tensor, conditioning, tau, geo_branch=None) -> Tensor:
+    def forward(self, noisy: Tensor, conditioning: list, tau, geo_branch=None) -> Tensor:
         """Predict the velocity field for a noisy action chunk.
 
-        conditioning: one Tensor used by every block, or a list with one
-        Tensor per block (layer-wise mode).  geo_branch, when present, is a
-        closure (i, zc) -> Tensor whose output block i adds to its
-        cross-attention update; zc is the block's normed input to that read.
+        conditioning: one B x L_i x D Tensor per block; block i cross-attends
+        over conditioning[i].  geo_branch, when present, is a closure
+        (i, zc) -> Tensor whose output block i adds to its cross-attention
+        update; zc is the block's normed input to that read.
         """
-        if isinstance(conditioning, (list, tuple)):
-            conds = list(conditioning)
-            if len(conds) != self.cfg.n_dit_layers:
-                raise ConfigError(
-                    f"layer-wise mode needs {self.cfg.n_dit_layers} conditioning "
-                    f"sequences, got {len(conds)}"
-                )
-        else:
-            conds = [conditioning] * self.cfg.n_dit_layers
+        if len(conditioning) != self.cfg.n_dit_layers:
+            raise ConfigError(f"{self.cfg.n_dit_layers} action blocks need as many "
+                              f"conditioning Tensors, got {len(conditioning)}")
         if noisy.shape[1] != self.cfg.horizon or noisy.shape[2] != self.cfg.d_action:
             raise ShapeError(f"action chunk shape {noisy.shape} does not match config")
 
         z = linear(noisy, self.in_proj) + Tensor(self.pos_table[None, :, :])
         z = z + timestep_embedding(tau, self.cfg.d)
-        for i, blk in enumerate(self.blocks):
+        for i, (blk, cond) in enumerate(zip(self.blocks, conditioning)):
             zn = layer_norm(z, blk["ln_s"]["gain"].value, blk["ln_s"]["bias"].value)
             z = z + cross_attention(zn, zn, blk["self"]["wq"], blk["self"]["wk"],
                                     blk["self"]["wv"], blk["self"]["wo"], self.cfg.heads)
             zc = layer_norm(z, blk["ln_c"]["gain"].value, blk["ln_c"]["bias"].value)
-            upd = cross_attention(zc, conds[i], blk["cross"]["wq"], blk["cross"]["wk"],
+            upd = cross_attention(zc, cond, blk["cross"]["wq"], blk["cross"]["wk"],
                                   blk["cross"]["wv"], blk["cross"]["wo"], self.cfg.heads)
             if geo_branch is not None:
                 upd = upd + geo_branch(i, zc)

@@ -44,13 +44,23 @@ def _write_run(out: Path, record: RunRecord, policy, cfg: ExperimentConfig):
         save_checkpoint(policy, cfg, out / "checkpoint.bin")
 
 
-def _write_report(out: Path, records, fmt: str):
+def _write_tables(out: Path, records, fmt: str) -> str:
+    """Write the report table and `loss_curves.csv` into `out`, creating it;
+    returns the table."""
     out.mkdir(parents=True, exist_ok=True)
+    table = emit_table(records_to_rows(records), fmt)
     ext = "md" if fmt == "markdown" else "csv"
-    (out / f"report.{ext}").write_text(emit_table(records_to_rows(records), fmt))
+    (out / f"report.{ext}").write_text(table)
     (out / "loss_curves.csv").write_text(loss_curves_csv(records))
+    return table
+
+
+def _write_report(out: Path, records, fmt: str) -> str:
+    """`_write_tables` plus one `record_NN.json` per run; returns the table."""
+    table = _write_tables(out, records, fmt)
     for i, rec in enumerate(records):
         (out / f"record_{i:02d}.json").write_text(rec.to_json() + "\n")
+    return table
 
 
 def cmd_train(args) -> int:
@@ -79,16 +89,14 @@ def cmd_eval(args) -> int:
 def cmd_pilot(args) -> int:
     cfg = _load_config(args)
     records = run_pilot(pilot_configs(cfg), jobs=args.jobs)
-    _write_report(Path(args.out), records, args.format)
-    print(emit_table(records_to_rows(records), args.format))
+    print(_write_report(Path(args.out), records, args.format))
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     records = run_ablation(args.kind, cfg, jobs=args.jobs)
-    _write_report(Path(args.out), records, args.format)
-    print(emit_table(records_to_rows(records), args.format))
+    print(_write_report(Path(args.out), records, args.format))
     return 0
 
 
@@ -96,13 +104,8 @@ def cmd_report(args) -> int:
     paths = sorted(Path(args.records).glob("record*.json"))
     if not paths:
         raise GeofuseError(f"no record files under {args.records}")
-    records = [RunRecord.from_json(p.read_text()) for p in paths]
-    text = emit_table(records_to_rows(records), args.format)
-    out = Path(args.out) if args.out else Path(args.records)
-    ext = "md" if args.format == "markdown" else "csv"
-    (out / f"report.{ext}").write_text(text)
-    (out / "loss_curves.csv").write_text(loss_curves_csv(records))
-    print(text)
+    records = [RunRecord.from_json(p.read_bytes(), str(p)) for p in paths]
+    print(_write_tables(Path(args.out or args.records), records, args.format))
     return 0
 
 

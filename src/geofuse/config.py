@@ -45,8 +45,7 @@ class ExperimentConfig:
     d: int = 32
     heads: int = 4
     n_layers: int = 4
-    l_max: int = 32
-    vocab_size: int = 64
+    vocab_size: int = 64  # >= OBJECT_ID_POOL, so every drawn object id has a token
     d_vggt: int = 48
     n_dit_layers: int = 4
     horizon: int = 4
@@ -103,6 +102,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.train_steps < 0:
             raise ConfigError(f"train_steps must be >= 0, got {self.train_steps}")
+        if self.vocab_size < OBJECT_ID_POOL:
+            raise ConfigError(f"vocab_size must be >= {OBJECT_ID_POOL} (the object id pool), "
+                              f"got {self.vocab_size}")
         if not 1 <= self.n_objects <= min(self.n_patches, OBJECT_ID_POOL):
             raise ConfigError(f"n_objects must be in [1, min(n_patches, {OBJECT_ID_POOL})], "
                               f"got {self.n_objects} with n_patches={self.n_patches}")

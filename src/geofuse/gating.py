@@ -76,11 +76,10 @@ def build_conditioning(h_mllm: Tensor, f_fused) -> Tensor:
     return concat([h_mllm, f_fused], axis=1)
 
 
-def fuse_single(h_mllm: Tensor, f_vggt: Tensor, w_proj, gate: GateParams,
-                logit_offset: float = 0.0) -> Tensor:
+def fuse_single(h_mllm: Tensor, f_vggt: Tensor, w_proj, gate: GateParams) -> Tensor:
     """Full single-sequence pipeline: project (bias-free), gate, blend, append."""
     f_geo = linear(f_vggt, w_proj)
-    _, fused = gate_and_fuse(h_mllm, f_geo, gate, logit_offset)
+    _, fused = gate_and_fuse(h_mllm, f_geo, gate)
     return build_conditioning(h_mllm, fused)
 
 

@@ -3,15 +3,18 @@
 The policy owns every parameter (one ParamSet) and exposes the three
 entry points the benchmark needs: a differentiable training loss, a
 deterministic conditioning builder, and noise-to-action inference via
-Euler integration.  Conditioning is computed once per inference call and
-reused across all integration steps, since no scheme couples the
-backbone to the flow time.
+Euler integration.  Everything passed between the backbone, the scheme
+hooks and the action expert is a plain Tensor, a list of them, or a
+closure: the backbone's input sequence, every backbone layer's output,
+and one conditioning Tensor per action block in both archs.
+Conditioning is computed once per inference call and reused across all
+integration steps, since no scheme couples the backbone to the flow time.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .backbones import ActionDiT, GeoEncoder, MLLMOutput, ToyMLLM
+from .backbones import ActionDiT, GeoEncoder, ToyMLLM
 from .config import ExperimentConfig
 from .errors import SchemeContractError
 from .flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
@@ -65,14 +68,12 @@ class FusionPolicy:
     # -- forward -----------------------------------------------------------
 
     def conditioning(self, scenes, geo):
-        """Run backbone + scheme hooks; returns (cond, geo_branch, mllm_out)."""
-        emb, instr_len, n_vis = self.mllm.embed(scenes)
-        meta = {"instr_len": instr_len, "n_visual": n_vis}
-        emb = self.scheme.modify_input(emb, meta, geo)
+        """Run backbone + scheme hooks; returns (one conditioning Tensor per
+        action block, the scheme's geo_branch closure or None, every backbone
+        layer's output)."""
+        emb = self.scheme.modify_input(self.mllm.embed(scenes), geo)
         per_layer = self.mllm.run_layers(emb, self.scheme.mid_hook(geo))
-        mllm_out = MLLMOutput(per_layer, instr_len, n_vis)
-        cond = self.scheme.conditioning(mllm_out, geo)
-        return cond, self.scheme.geo_branch(geo), mllm_out
+        return self.scheme.conditioning(per_layer, geo), self.scheme.geo_branch(geo), per_layer
 
     # -- training objective ------------------------------------------------
 
@@ -83,12 +84,12 @@ class FusionPolicy:
         eps = rng.normal(actions.shape, self.cfg.noise_std)
         a_tau, v_target = fm_training_targets(actions, eps, tau)
         geo = self.geo_tokens(scenes, training=True)
-        cond, branch, mllm_out = self.conditioning(scenes, geo)
+        cond, branch, per_layer = self.conditioning(scenes, geo)
         v_pred = self.dit.forward(Tensor(a_tau), cond, tau, geo_branch=branch)
         action_loss = fm_loss(v_pred, v_target)
         parts = {"action": action_loss.item()}
         total = action_loss
-        aux = self.scheme.aux_loss(mllm_out, geo)
+        aux = self.scheme.aux_loss(per_layer, geo)
         if aux is not None:
             weight, term = aux
             parts["align"] = term.item()

@@ -62,10 +62,15 @@ class RunRecord:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        """Read a record; keys it does not know (older records' `wall_time`) are ignored."""
-        d = json.loads(text)
-        return cls(d["config"], d["metrics"], d["loss_curve"], d["dataset_hash"])
+    def from_json(cls, text, source: str = "run record") -> "RunRecord":
+        """Read a record from JSON text or bytes; keys it does not know (older
+        records' `wall_time`) are ignored.  A malformed record raises
+        ConfigError naming `source`."""
+        try:
+            d = json.loads(text)
+            return cls(d["config"], d["metrics"], d["loss_curve"], d["dataset_hash"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{source}: not a run record ({type(exc).__name__}: {exc})") from exc
 
 
 def run_single(cfg: ExperimentConfig, return_policy: bool = False):

@@ -2,23 +2,24 @@
 
 Each scheme is a bundle of its own parameters plus a fixed set of hooks
 into the policy forward pass: rewriting the input token sequence,
-patching an intermediate backbone layer, building the conditioning
-sequence(s) for the action expert, adding a parallel read inside the
-action blocks, or contributing a training-time alignment loss.  Hooks
-receive the geometry as a plain B x N x D_vggt Tensor (or None when the
-scheme reads none) and return Tensors or closures over their own
-parameters, so neither the backbone nor the action expert knows any
-scheme's parameters.  Every scheme documents a parameter setting under
-which the policy collapses exactly to the base model (`null_geo`, a
-zeroed branch projection, or a zero adapter scale).
+patching an intermediate backbone layer, building the conditioning of
+every action block, adding a parallel read inside the action blocks, or
+contributing a training-time alignment loss.  Hooks receive plain
+Tensors: the geometry as one B x N x D_vggt Tensor (or None when the
+scheme reads none), the backbone input as one B x L x D Tensor and its
+output as a list of every layer's B x L x D Tensor.  They return Tensors
+or closures over their own parameters, so neither the backbone nor the
+action expert knows any scheme's parameters.  Every scheme documents a
+parameter setting under which the policy collapses exactly to the base
+model (`null_geo`, a zeroed branch projection, or a zero adapter scale).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .backbones import MLLMOutput, sinusoid_table
+from .backbones import sinusoid_table, visual_span
 from .config import SCHEME_IDS, ExperimentConfig  # noqa: F401 (re-exported beside the registry)
-from .errors import SchemeContractError, ShapeError
+from .errors import SchemeContractError
 from .gating import (
     build_conditioning,
     fuse_single,
@@ -61,8 +62,9 @@ class FusionScheme:
 
     # -- hooks, each a no-op here --------------------------------------------
 
-    def modify_input(self, emb: Tensor, meta: dict, geo) -> Tensor:
-        """The backbone's input sequence; meta holds instr_len and n_visual."""
+    def modify_input(self, emb: Tensor, geo) -> Tensor:
+        """The backbone's B x L x D input sequence, laid out as
+        `backbones.visual_span` says."""
         return emb
 
     def mid_hook(self, geo):
@@ -74,20 +76,27 @@ class FusionScheme:
         its cross-attention update."""
         return None
 
-    def aux_loss(self, mllm_out: MLLMOutput, geo):
-        """None, or (weight, scalar Tensor) added to the training loss."""
+    def aux_loss(self, per_layer: list, geo):
+        """None, or (weight, scalar Tensor) added to the training loss;
+        per_layer holds every backbone layer's output."""
         return None
 
-    def conditioning(self, mllm_out: MLLMOutput, geo):
-        """One B x L x D Tensor (groot), or one per action block (pi)."""
-        if self.cfg.arch == "pi":
-            return self._pi_layers(mllm_out)
-        return mllm_out.final
+    def conditioning(self, per_layer: list, geo) -> list:
+        """One B x L x D Tensor per action block, built from every backbone
+        layer's output."""
+        return self._per_block(per_layer, lambda h: h)
 
     # -- helpers ------------------------------------------------------------
 
-    def _pi_layers(self, mllm_out: MLLMOutput):
-        return mllm_out.per_layer[-self.cfg.n_dit_layers:]
+    def _per_block(self, per_layer: list, fn) -> list:
+        """`fn` of each action block's backbone layer.  Under pi block i
+        reads the i-th of the last n_dit_layers layers; under groot every
+        block reads the final layer, so `fn` runs once and every entry is
+        the same Tensor."""
+        n = self.cfg.n_dit_layers
+        if self.cfg.arch == "pi":
+            return [fn(h) for h in per_layer[-n:]]
+        return [fn(per_layer[-1])] * n
 
     def _need(self, geo) -> Tensor:
         if geo is None:
@@ -152,7 +161,7 @@ class EarlyFusion(FusionScheme):
         self.w_proj = store.new("scheme.early.w_proj",
                                 init_matrix(rng, self.cfg.d_vggt, self.cfg.d))
 
-    def modify_input(self, emb, meta, geo):
+    def modify_input(self, emb, geo):
         if self.null_geo:
             return emb
         return concat([emb, linear(self._need(geo), self.w_proj)], axis=1)
@@ -170,19 +179,18 @@ class ConcatFusion(FusionScheme):
         self.mixer = GateMixer(store, rng, "scheme.concat.mixer",
                                self.cfg.d_vggt, self.cfg.d)
 
-    def _geo_tokens(self, geo, pooled, h):
-        return self.mixer(geo, pooled)
+    def _refine(self, f_geo, h):
+        """The tokens appended to the block conditioning built on layer `h`:
+        here the mixed geometry itself."""
+        return f_geo
 
-    def conditioning(self, mllm_out, geo):
+    def conditioning(self, per_layer, geo):
         if self.null_geo:
-            return super().conditioning(mllm_out, geo)
+            return super().conditioning(per_layer, geo)
         geo = self._need(geo)
-        pooled = mean_pool_seq(geo)
-        if self.cfg.arch == "pi":
-            return [build_conditioning(h, self._geo_tokens(geo, pooled, h))
-                    for h in self._pi_layers(mllm_out)]
-        return build_conditioning(mllm_out.final,
-                                  self._geo_tokens(geo, pooled, mllm_out.final))
+        f_geo = self.mixer(geo, mean_pool_seq(geo))  # once: it reads no backbone layer
+        return self._per_block(per_layer,
+                               lambda h: build_conditioning(h, self._refine(f_geo, h)))
 
 
 @register
@@ -195,8 +203,7 @@ class CrossAttnFusion(ConcatFusion):
         super().build(store, rng)
         self.attn = attention_params(store, rng, "scheme.crossattn.attn", self.cfg.d)
 
-    def _geo_tokens(self, geo, pooled, h):
-        f_geo = self.mixer(geo, pooled)
+    def _refine(self, f_geo, h):
         return cross_attention(f_geo, h, self.attn["wq"], self.attn["wk"],
                                self.attn["wv"], self.attn["wo"], self.cfg.heads) + f_geo
 
@@ -206,8 +213,8 @@ class GatedFusion(FusionScheme):
     """Semantic-conditioned gated blending of geometry (the headline module).
 
     One bias-free projection `w_proj` feeds a list of gates: one gate for
-    the single conditioning sequence (groot), or one per action block
-    (pi), where a sparse schedule picks the blocks that fuse."""
+    the conditioning every action block shares (groot), or one per action
+    block (pi), where a sparse schedule picks the blocks that fuse."""
 
     id = "gated_fusion"
     inference_geo_required = True
@@ -223,14 +230,14 @@ class GatedFusion(FusionScheme):
         # read plain semantics
         self.schedule = sparse_layer_schedule(n, self.cfg.sparse_k, self.cfg.sparse_phase)
 
-    def conditioning(self, mllm_out, geo):
+    def conditioning(self, per_layer, geo):
         if self.null_geo:
-            return super().conditioning(mllm_out, geo)
+            return super().conditioning(per_layer, geo)
         geo = self._need(geo)
+        n = self.cfg.n_dit_layers
         if self.cfg.arch == "pi":
-            return layerwise_fuse(self._pi_layers(mllm_out), geo, self.w_proj, self.gates,
-                                  self.schedule)
-        return fuse_single(mllm_out.final, geo, self.w_proj, self.gates[0])
+            return layerwise_fuse(per_layer[-n:], geo, self.w_proj, self.gates, self.schedule)
+        return [fuse_single(per_layer[-1], geo, self.w_proj, self.gates[0])] * n
 
 
 @register
@@ -247,18 +254,18 @@ class ThreeDTokens(FusionScheme):
         self.w_align = store.new("scheme.tok3d.w_align", init_matrix(rng, d, d))
         self.w_proj = store.new("scheme.tok3d.w_proj", init_matrix(rng, dv, d))
 
-    def modify_input(self, emb, meta, geo):
+    def modify_input(self, emb, geo):
         if self.null_geo:
             return emb
         b = emb.shape[0]
         tok = self.token.value * Tensor(np.ones((b, 1, 1)))
         return concat([emb, tok], axis=1)
 
-    def aux_loss(self, mllm_out, geo):
+    def aux_loss(self, per_layer, geo):
         if self.null_geo:
             return None
         geo = self._need(geo)
-        h_tok = mllm_out.final[:, -1, :]  # the appended special token's state
+        h_tok = per_layer[-1][:, -1, :]  # the appended special token's state
         pooled = geo.mean(axis=1)
         cos = cosine_rows(linear(h_tok, self.w_align), linear(pooled, self.w_proj))
         return self.cfg.align_weight, (1.0 - cos).mean()
@@ -316,16 +323,13 @@ class SpatialForcing(FusionScheme):
         self.w2 = store.new("scheme.sf.w2", init_matrix(rng, d, dv))
         self.e_pos = sinusoid_table(self.cfg.n_patches, dv)
 
-    def aux_loss(self, mllm_out, geo):
+    def aux_loss(self, per_layer, geo):
         if self.null_geo:
             return None
         geo = self._need(geo)
-        h_vis = mllm_out.visual_slice(self.k)
         n = geo.shape[1]
-        if h_vis.shape[1] != n:
-            raise ShapeError(
-                f"visual slice length {h_vis.shape[1]} != {n} geometric patches"
-            )
+        lo, hi = visual_span(n)
+        h_vis = per_layer[self.k][:, lo:hi, :]
         proj = linear(linear(layer_norm(h_vis, self.ln["gain"].value,
                                         self.ln["bias"].value), self.w1).gelu(), self.w2)
         target = Tensor(geo.data + self.e_pos[:n])
@@ -346,11 +350,11 @@ class VisualFusion(FusionScheme):
         self.attn = attention_params(store, rng, "scheme.vf.attn", d, d_kv=dv)
         self.ln = norm_params(store, "scheme.vf.ln", d)
 
-    def modify_input(self, emb, meta, geo):
+    def modify_input(self, emb, geo):
         if self.null_geo:
             return emb
         geo = self._need(geo)
-        lo, hi = meta["instr_len"], meta["instr_len"] + meta["n_visual"]
+        lo, hi = visual_span(geo.shape[1])
         t2d = emb[:, lo:hi, :]
         upd = cross_attention(t2d, geo, self.attn["wq"], self.attn["wk"],
                               self.attn["wv"], self.attn["wo"], self.cfg.heads)

@@ -1,5 +1,6 @@
-"""Shared helpers: one tiny model config, a tiny policy and scene builders
-for fast tests."""
+"""Shared helpers: one tiny model config, a tiny policy, scene builders
+and the committed score-table fixtures, for fast tests."""
+import csv
 import pathlib
 
 import pytest
@@ -8,12 +9,13 @@ from geofuse.backbones import SceneSpec
 from geofuse.config import ExperimentConfig
 from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
+from geofuse.runner import TableRow
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def tiny_cfg(**kw):
-    base = dict(d=8, n_layers=2, heads=2, l_max=16, vocab_size=16, n_patches=4,
+    base = dict(d=8, n_layers=2, heads=2, vocab_size=16, n_patches=4,
                 d_vggt=6, n_dit_layers=2, horizon=2, d_action=3)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -36,6 +38,19 @@ def make_scenes(rng: RngStream, n_scenes: int, n_objects: int = 2, id_pool: int 
         instr = int(rng.integers(0, n_objects))
         scenes.append(SceneSpec(pos, ids, instr))
     return scenes
+
+
+def rows_from_csv(name):
+    """Table rows of a committed score fixture under tests/data."""
+    rows = []
+    with open(DATA_DIR / name) as fh:
+        for rec in csv.DictReader(fh):
+            method = rec.pop("method")
+            group = rec.pop("group")
+            is_base = rec.pop("is_base") == "1"
+            scores = {k: float(v) for k, v in rec.items()}
+            rows.append(TableRow(method, scores, group=group, is_base=is_base))
+    return rows
 
 
 @pytest.fixture

@@ -4,13 +4,12 @@ Each test verifies one headline property of the package and prints a
 single PASS/FAIL line (visible even under captured output).  The
 expensive trained-policy checks share one module-scoped fixture.
 """
-import csv
 import time
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, TINY_RUN, make_scenes, tiny_cfg, tiny_policy
+from conftest import TINY_RUN, make_scenes, rows_from_csv, tiny_cfg, tiny_policy
 from geofuse.bench import dataset_hash, evaluate_policy, train_policy
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.config import ExperimentConfig
@@ -20,7 +19,6 @@ from geofuse.nn import grad_check, init_matrix, linear, mean_pool_seq, expand_se
 from geofuse.rng import RngStream
 from geofuse.runner import (
     RunRecord,
-    TableRow,
     build_datasets,
     build_policy,
     emit_table,
@@ -295,24 +293,12 @@ def test_sparse_zero_equals_full_layerwise_fusion(announce):
 
 # ---------------------------------------------------------------- 10 report fixture
 
-def _rows_from_csv(name):
-    rows = []
-    with open(DATA_DIR / name) as fh:
-        for rec in csv.DictReader(fh):
-            method = rec.pop("method")
-            group = rec.pop("group")
-            is_base = rec.pop("is_base") == "1"
-            scores = {k: float(v) for k, v in rec.items()}
-            rows.append(TableRow(method, scores, group=group, is_base=is_base))
-    return rows
-
-
 def test_report_fixtures_reproduce_reference_averages(announce):
-    pilot = emit_table(_rows_from_csv("table_pilot.csv"))
+    pilot = emit_table(rows_from_csv("table_pilot.csv"))
     lines = pilot.splitlines()
     pilot_ok = ("57.81" in lines[2] and "68.23" in lines[3]
                 and "+10.42" in lines[3])
-    backbones = emit_table(_rows_from_csv("table_backbones.csv"))
+    backbones = emit_table(rows_from_csv("table_backbones.csv"))
     mean_ok = backbones.rstrip().endswith("Mean gain: 7.02")
     ok = pilot_ok and mean_ok
     announce(10, "committed score tables reproduce the reference averages", ok,

@@ -1,9 +1,11 @@
 """Backbone contracts: position-blind semantics, exact geometric decode,
-single-pass layer extraction, and DiT conditioning modes."""
+single-pass layer extraction, and the DiT's one-Tensor-per-block
+conditioning."""
 import numpy as np
 import pytest
 
 from conftest import make_scenes, tiny_cfg
+from geofuse import backbones
 from geofuse.backbones import (
     ActionDiT,
     GeoEncoder,
@@ -11,9 +13,10 @@ from geofuse.backbones import (
     ToyMLLM,
     sinusoid_table,
     timestep_embedding,
+    visual_span,
 )
 from geofuse.errors import CapacityError, ConfigError, DomainError, ShapeError
-from geofuse.nn import grad_check, mse
+from geofuse.nn import grad_check, mlp, mse
 from geofuse.rng import RngStream
 from geofuse.tensor import ParamSet, Tensor
 
@@ -45,14 +48,17 @@ def test_scene_rejects_dangling_instruction():
 
 # ------------------------------------------------------------------ mllm
 
+def run_mllm(mllm, scenes):
+    return mllm.run_layers(mllm.embed(scenes))
+
+
 def test_mllm_layer_count_and_shapes(rng):
     mllm, _ = build_mllm(rng)
     scenes = make_scenes(rng.derive(1), 3, n_objects=2)
-    out = mllm.forward(scenes)
-    assert len(out.per_layer) == mllm.cfg.n_layers
-    for h in out.per_layer:
+    per_layer = run_mllm(mllm, scenes)
+    assert len(per_layer) == mllm.cfg.n_layers
+    for h in per_layer:
         assert h.shape == (3, 3, mllm.cfg.d)  # 1 instruction + 2 visual tokens
-    assert out.final is out.per_layer[-1]
 
 
 def test_mllm_is_invariant_to_object_positions(rng):
@@ -61,9 +67,7 @@ def test_mllm_is_invariant_to_object_positions(rng):
     ids, instr = [4, 9], 1
     a = SceneSpec(np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]]), ids, instr)
     b = SceneSpec(np.array([[0.6, 0.6, 0.6], [0.2, 0.1, 0.9]]), ids, instr)
-    out_a = mllm.forward([a])
-    out_b = mllm.forward([b])
-    for ha, hb in zip(out_a.per_layer, out_b.per_layer):
+    for ha, hb in zip(run_mllm(mllm, [a]), run_mllm(mllm, [b])):
         np.testing.assert_array_equal(ha.data, hb.data)
 
 
@@ -72,31 +76,49 @@ def test_mllm_deterministic_across_runs():
     outs = []
     for _ in range(2):
         mllm, _ = build_mllm(RngStream(11, 0))
-        outs.append(mllm.forward(scenes).final.data)
+        outs.append(run_mllm(mllm, scenes)[-1].data)
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
-def test_mllm_runs_each_layer_exactly_once_per_forward(rng):
+def test_mllm_runs_each_layer_exactly_once_per_forward(rng, monkeypatch):
     mllm, _ = build_mllm(rng)
     scenes = make_scenes(rng.derive(1), 2, n_objects=2)
-    assert mllm.layer_calls == 0
-    mllm.forward(scenes)
-    assert mllm.layer_calls == mllm.cfg.n_layers
+    calls = []
+
+    def counted_mlp(*args):
+        calls.append(1)
+        return mlp(*args)
+
+    monkeypatch.setattr(backbones, "mlp", counted_mlp)  # one MLP per layer
+    run_mllm(mllm, scenes)
+    assert len(calls) == mllm.cfg.n_layers
 
 
-def test_mllm_sequence_capacity_error(rng):
-    mllm, _ = build_mllm(rng, l_max=2)
-    scenes = make_scenes(rng.derive(1), 1, n_objects=2)  # 3 tokens > 2
-    with pytest.raises(CapacityError):
-        mllm.forward(scenes)
+def test_mllm_positions_fit_any_sequence_length(rng):
+    """Positional rows are computed for the length embedded, so long
+    sequences need no capacity knob; row j is the same at every length."""
+    mllm, _ = build_mllm(rng)
+    for n in (1, 2, 8):
+        scenes = make_scenes(rng.derive(n), 2, n_objects=n)
+        x = mllm.embed(scenes).data
+        ids = np.array([s.object_ids for s in scenes])
+        instr = np.array([s.object_ids[s.instruction_id] for s in scenes])
+        want = np.concatenate([mllm.tok_embed.value.data[instr][:, None, :],
+                               mllm.vis_embed.value.data[ids]], axis=1)
+        np.testing.assert_array_equal(x, want + sinusoid_table(64, mllm.cfg.d)[: n + 1])
 
 
 def test_mllm_visual_slice_selects_visual_tokens(rng):
+    """`visual_span` picks exactly the per-object visual embeddings."""
     mllm, _ = build_mllm(rng)
     scenes = make_scenes(rng.derive(1), 2, n_objects=2)
-    out = mllm.forward(scenes)
-    sl = out.visual_slice(0)
-    assert sl.shape == (2, 2, mllm.cfg.d)
+    x = mllm.embed(scenes)
+    lo, hi = visual_span(2)
+    assert (lo, hi) == (1, 3) and hi == x.shape[1]
+    ids = np.array([s.object_ids for s in scenes])
+    pos = sinusoid_table(hi, mllm.cfg.d)[lo:hi]
+    np.testing.assert_array_equal(x.data[:, lo:hi, :], mllm.vis_embed.value.data[ids] + pos)
+    assert run_mllm(mllm, scenes)[0][:, lo:hi, :].shape == (2, 2, mllm.cfg.d)
 
 
 # ------------------------------------------------------------------ geo encoder
@@ -186,13 +208,27 @@ def _dit_inputs(rng, cfg):
 
 
 def test_dit_pi_mode_with_duplicated_sequence_equals_groot(rng):
+    """Blocks reading copies of one sequence (pi) match blocks sharing one
+    Tensor object (groot)."""
     store = ParamSet()
     cfg = tiny_cfg()
     dit = ActionDiT(cfg, store, rng.derive(0))
     noisy, cond = _dit_inputs(rng.derive(1), cfg)
-    single = dit.forward(noisy, cond, 0.4)
-    listed = dit.forward(noisy, [cond] * cfg.n_dit_layers, 0.4)
-    assert np.max(np.abs(single.data - listed.data)) < 1e-10
+    shared = dit.forward(noisy, [cond] * cfg.n_dit_layers, 0.4)
+    copies = dit.forward(noisy, [Tensor(cond.data.copy()) for _ in range(cfg.n_dit_layers)],
+                         0.4)
+    np.testing.assert_array_equal(shared.data, copies.data)
+
+
+def test_dit_blocks_read_their_own_conditioning(rng):
+    store = ParamSet()
+    cfg = tiny_cfg()
+    dit = ActionDiT(cfg, store, rng.derive(0))
+    noisy, cond = _dit_inputs(rng.derive(1), cfg)
+    other = Tensor(rng.derive(2).normal(cond.shape))
+    base = dit.forward(noisy, [cond, cond], 0.4).data
+    assert np.max(np.abs(dit.forward(noisy, [cond, other], 0.4).data - base)) > 0
+    assert np.max(np.abs(dit.forward(noisy, [other, cond], 0.4).data - base)) > 0
 
 
 def test_dit_output_shape_independent_of_conditioning_length(rng):
@@ -201,8 +237,8 @@ def test_dit_output_shape_independent_of_conditioning_length(rng):
     dit = ActionDiT(cfg, store, rng.derive(0))
     noisy = Tensor(rng.normal((2, cfg.horizon, cfg.d_action)))
     for lk in (1, 4, 9):
-        cond = Tensor(rng.normal((2, lk, cfg.d)))
-        assert dit.forward(noisy, cond, 0.2).shape == (2, cfg.horizon, cfg.d_action)
+        conds = [Tensor(rng.normal((2, lk + i, cfg.d))) for i in range(cfg.n_dit_layers)]
+        assert dit.forward(noisy, conds, 0.2).shape == (2, cfg.horizon, cfg.d_action)
 
 
 def test_dit_pi_mode_wrong_list_length(rng):
@@ -210,8 +246,9 @@ def test_dit_pi_mode_wrong_list_length(rng):
     cfg = tiny_cfg()
     dit = ActionDiT(cfg, store, rng.derive(0))
     noisy, cond = _dit_inputs(rng.derive(1), cfg)
-    with pytest.raises(ConfigError):
-        dit.forward(noisy, [cond] * (cfg.n_dit_layers + 1), 0.4)
+    for n in (cfg.n_dit_layers - 1, cfg.n_dit_layers + 1):
+        with pytest.raises(ConfigError):
+            dit.forward(noisy, [cond] * n, 0.4)
 
 
 def test_dit_wrong_chunk_shape(rng):
@@ -220,7 +257,7 @@ def test_dit_wrong_chunk_shape(rng):
     dit = ActionDiT(cfg, store, rng.derive(0))
     noisy = Tensor(rng.normal((2, cfg.horizon + 1, cfg.d_action)))
     with pytest.raises(ShapeError):
-        dit.forward(noisy, Tensor(rng.normal((2, 3, cfg.d))), 0.4)
+        dit.forward(noisy, [Tensor(rng.normal((2, 3, cfg.d)))] * cfg.n_dit_layers, 0.4)
 
 
 def test_dit_grad_check(rng):
@@ -231,6 +268,6 @@ def test_dit_grad_check(rng):
     target = rng.normal((2, cfg.horizon, cfg.d_action))
 
     def loss():
-        return mse(dit.forward(noisy, cond, 0.35), Tensor(target))
+        return mse(dit.forward(noisy, [cond] * cfg.n_dit_layers, 0.35), Tensor(target))
 
     assert grad_check(loss, store, rng.derive(2), n_coords=50) < 1e-4

@@ -78,6 +78,7 @@ def test_config_rejects_malformed_line():
     "n_dit_layers=0", "arch=pi\nn_dit_layers=5",  # n_layers=4
     "d_vggt=0", "d_action=0",
     "noise_std=-1", "noise_std=nan", "n_objects=17\nn_patches=20",  # 16 object ids
+    "vocab_size=15",  # an object id drawn from range(16) would have no token
 ])
 def test_config_rejects_out_of_range_values_when_parsed(text):
     with pytest.raises(ConfigError):
@@ -107,6 +108,7 @@ def valid_configs(draw):
     kw["sparse_k"] = draw(st.integers(0, 64))
     kw["train_steps"] = draw(st.integers(0, 64))
     kw["n_objects"] = draw(st.integers(1, min(kw["n_patches"], 16)))
+    kw["vocab_size"] = draw(st.integers(16, 64))
     return ExperimentConfig(**kw)
 
 
@@ -241,6 +243,15 @@ def test_checkpoint_config_of_the_wrong_type(tmp_path, key, value):
     _, _, path = write_ckpt(tmp_path)
     _rewrite_header(path, lambda h: h["config"].update({key: value}))
     with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_naming_the_removed_l_max_is_refused(tmp_path):
+    """`l_max` was dropped from the config; a header that still names it is
+    refused like any unknown key, with no compatibility shim."""
+    _, _, path = write_ckpt(tmp_path)
+    _rewrite_header(path, lambda h: h["config"].update(l_max=32))
+    with pytest.raises(ConfigError, match="unknown config key 'l_max'"):
         load_checkpoint(path)
 
 

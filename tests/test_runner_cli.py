@@ -1,10 +1,9 @@
 """Runner orchestration (pilot, ablations, tables) and the CLI surface."""
-import csv
 import json
 
 import pytest
 
-from conftest import DATA_DIR, TINY_RUN, tiny_cfg
+from conftest import TINY_RUN, rows_from_csv, tiny_cfg
 from geofuse import cli
 from geofuse.config import ExperimentConfig
 from geofuse.errors import ConfigError, ProtocolError
@@ -20,20 +19,9 @@ from geofuse.runner import (
     run_single,
 )
 
+
 def run_cfg(**kw):
     return tiny_cfg(**TINY_RUN).replace(**kw)
-
-
-def rows_from_csv(name):
-    rows = []
-    with open(DATA_DIR / name) as fh:
-        for rec in csv.DictReader(fh):
-            method = rec.pop("method")
-            group = rec.pop("group")
-            is_base = rec.pop("is_base") == "1"
-            scores = {k: float(v) for k, v in rec.items()}
-            rows.append(TableRow(method, scores, group=group, is_base=is_base))
-    return rows
 
 
 # ------------------------------------------------------------------ runs
@@ -279,6 +267,32 @@ def test_cli_report_round_trips_table(tmp_path, capsys):
 def test_cli_report_empty_dir_exits_1(tmp_path, capsys):
     assert cli.main(["report", "--records", str(tmp_path)]) == 1
     assert "no record files" in capsys.readouterr().err
+
+
+def test_cli_report_record_without_loss_curve_exits_1(tmp_path, capsys):
+    rec = {"config": run_cfg().to_dict(), "metrics": {}, "dataset_hash": ""}
+    (tmp_path / "record.json").write_text(json.dumps(rec))
+    assert cli.main(["report", "--records", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record.json" in err and "loss_curve" in err
+
+
+def test_cli_report_non_json_record_exits_1(tmp_path, capsys):
+    (tmp_path / "record_00.json").write_bytes(b"\xff not json")
+    assert cli.main(["report", "--records", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record_00.json" in err
+
+
+def test_cli_report_creates_missing_out_dir(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path, scheme="none")
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    out = tmp_path / "new" / "report"
+    capsys.readouterr()
+    assert cli.main(["report", "--records", str(run), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "report.md").read_text() + "\n"
+    assert (out / "loss_curves.csv").read_text() == (run / "loss.csv").read_text()
 
 
 def test_cli_ablate_writes_report(tmp_path, capsys):

@@ -61,6 +61,42 @@ def test_gated_fusion_param_layout(arch, prefixes):
     assert got == want
 
 
+# ------------------------------------------------------------------ conditioning contract
+
+@pytest.mark.parametrize("arch", ["groot", "pi"])
+@pytest.mark.parametrize("sid", SCHEME_IDS)
+def test_conditioning_is_one_tensor_per_action_block(sid, arch, scenes):
+    """Every scheme hands the action expert a list of n_dit_layers Tensors;
+    under groot every block reads the same Tensor object."""
+    pol = tiny_policy(sid, arch)
+    cond, _, per_layer = pol.conditioning(scenes, pol.geo_tokens(scenes, training=True))
+    assert isinstance(cond, list) and len(cond) == pol.cfg.n_dit_layers
+    assert all(isinstance(c, Tensor) and c.shape[0] == len(scenes) for c in cond)
+    assert len(per_layer) == pol.cfg.n_layers
+    if arch == "groot":
+        assert all(c is cond[0] for c in cond)
+
+
+@pytest.mark.parametrize("arch", ["groot", "pi"])
+@pytest.mark.parametrize("sid", ["concat_fusion", "crossattn_fusion"])
+def test_gate_mixer_runs_once_per_conditioning(sid, arch, scenes, monkeypatch):
+    """The mixer reads no backbone layer, so it runs once however many
+    action blocks read its output."""
+    calls = []
+    orig = GateMixer.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(GateMixer, "__call__", counted)
+    pol = tiny_policy(sid, arch)
+    cond, _, _ = pol.conditioning(scenes, pol.geo_tokens(scenes, training=False))
+    assert len(calls) == 1
+    if arch == "pi":  # each block still appends the tokens to its own layer
+        assert np.max(np.abs(cond[0].data - cond[1].data)) > 0
+
+
 # ------------------------------------------------------------------ nullability
 
 def null_configured_policy(sid):
@@ -165,17 +201,17 @@ def test_cosine_of_random_high_dim_vectors_is_near_zero(rng):
 def test_threed_tokens_appends_special_token(rng, scenes):
     pol = tiny_policy("threed_tokens")
     geo = pol.geo_tokens(scenes, training=True)
-    cond, _, mllm_out = pol.conditioning(scenes, geo)
+    cond, _, _ = pol.conditioning(scenes, geo)
     base = tiny_policy("none")
     base_cond, _, _ = base.conditioning(scenes, None)
-    assert cond.shape[1] == base_cond.shape[1] + 1
+    assert cond[0].shape[1] == base_cond[0].shape[1] + 1
 
 
 def test_threed_tokens_aux_loss_in_range(rng, scenes):
     pol = tiny_policy("threed_tokens")
     geo = pol.geo_tokens(scenes, training=True)
-    _, _, mllm_out = pol.conditioning(scenes, geo)
-    weight, term = pol.scheme.aux_loss(mllm_out, geo)
+    _, _, per_layer = pol.conditioning(scenes, geo)
+    weight, term = pol.scheme.aux_loss(per_layer, geo)
     assert weight == pytest.approx(0.1)
     assert 0.0 <= term.item() <= 2.0
 
@@ -191,8 +227,8 @@ def test_spatial_forcing_perfect_alignment_bound(rng):
 def test_spatial_forcing_grad_reaches_backbone_without_action_loss(rng, scenes):
     pol = tiny_policy("spatial_forcing")
     geo = pol.geo_tokens(scenes, training=True)
-    _, _, mllm_out = pol.conditioning(scenes, geo)
-    _, term = pol.scheme.aux_loss(mllm_out, geo)
+    _, _, per_layer = pol.conditioning(scenes, geo)
+    _, term = pol.scheme.aux_loss(per_layer, geo)
     pol.store.zero_grad()
     term.backward()
     k = pol.scheme.k
@@ -236,7 +272,7 @@ def test_crossattn_with_zeroed_attention_equals_concat(rng, scenes):
     geo_cc = cc.geo_tokens(scenes, training=False)
     cond_ca, _, _ = ca.conditioning(scenes, geo_ca)
     cond_cc, _, _ = cc.conditioning(scenes, geo_cc)
-    np.testing.assert_allclose(cond_ca.data, cond_cc.data, atol=1e-15)
+    np.testing.assert_allclose(cond_ca[0].data, cond_cc[0].data, atol=1e-15)
 
 
 def test_crossattn_residual_refinement_is_nonzero(rng, scenes):
@@ -244,25 +280,25 @@ def test_crossattn_residual_refinement_is_nonzero(rng, scenes):
     cc = tiny_policy("concat_fusion")
     cond_ca, _, _ = ca.conditioning(scenes, ca.geo_tokens(scenes, training=False))
     cond_cc, _, _ = cc.conditioning(scenes, cc.geo_tokens(scenes, training=False))
-    assert np.max(np.abs(cond_ca.data - cond_cc.data)) > 0
+    assert np.max(np.abs(cond_ca[0].data - cond_cc[0].data)) > 0
 
 
 def test_early_fusion_extends_every_layer(rng, scenes):
     pol = tiny_policy("early_fusion")
     geo = pol.geo_tokens(scenes, training=True)
-    _, _, mllm_out = pol.conditioning(scenes, geo)
+    _, _, per_layer = pol.conditioning(scenes, geo)
     n = scenes[0].n_objects
-    for h in mllm_out.per_layer:
+    for h in per_layer:
         assert h.shape[1] == 3 + n  # 1 instruction + 2 visual + n geo
 
 
 def test_visual_fusion_preserves_sequence_layout(rng, scenes):
     pol = tiny_policy("visual_fusion")
     geo = pol.geo_tokens(scenes, training=True)
-    cond, _, mllm_out = pol.conditioning(scenes, geo)
+    cond, _, _ = pol.conditioning(scenes, geo)
     base = tiny_policy("none")
     base_cond, _, _ = base.conditioning(scenes, None)
-    assert cond.shape == base_cond.shape
+    assert cond[0].shape == base_cond[0].shape
 
 
 def test_ae_fusion_branch_has_per_block_params(rng):
@@ -292,8 +328,8 @@ def probe_error(scheme, rng):
     pol = tiny_policy(scheme)
     scenes = make_scenes(rng, 300, n_objects=1)
     geo = pol.geo_tokens(scenes, training=True)
-    _, _, mllm_out = pol.conditioning(scenes, geo)
-    feats = mllm_out.final.data.reshape(len(scenes), -1)
+    _, _, per_layer = pol.conditioning(scenes, geo)
+    feats = per_layer[-1].data.reshape(len(scenes), -1)
     y = np.stack([s.target_position for s in scenes])
     x = np.concatenate([feats, np.ones((len(scenes), 1))], axis=1)
     n_train = 200
