@@ -176,12 +176,6 @@ class GeoEncoder:
         pos = np.stack([s.object_positions for s in scenes])  # B x n x 3
         return Tensor(pos) @ self.w_embed.value + self.base.value[:n]
 
-    def decode(self, tokens: np.ndarray) -> np.ndarray:
-        """Recover object positions from patch tokens (test oracle)."""
-        n = tokens.shape[-2]
-        centered = tokens - self.base.value.data[:n]
-        return centered @ np.linalg.pinv(self.w_embed.value.data)
-
 
 class ActionDiT:
     """Flow-matching action expert: self-attn + cross-attn + MLP blocks."""

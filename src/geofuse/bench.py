@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import OBJECT_ID_POOL, ExperimentConfig
-from .errors import ConfigError, DomainError, TrainingError
+from .errors import ConfigError, TrainingError
 from .optim import AdaptiveOptimizer
 from .policy import FusionPolicy
 from .rng import RngStream
@@ -40,7 +40,7 @@ class Metrics:
     n_episodes: int
 
 
-def target_action(scene: SceneSpec, horizon: int = 4, d_action: int = 7) -> np.ndarray:
+def target_action(scene: SceneSpec, horizon: int, d_action: int) -> np.ndarray:
     """Closed-form expert chunk: equal per-step deltas toward the target,
     grasp channel firing on the last step."""
     if d_action < 4:
@@ -52,11 +52,9 @@ def target_action(scene: SceneSpec, horizon: int = 4, d_action: int = 7) -> np.n
     return chunk
 
 
-def generate_episode(rng: RngStream, n_objects: int, n_patches: int = 8,
-                     horizon: int = 4, d_action: int = 7, split: str = "train") -> Episode:
-    top = min(n_patches, OBJECT_ID_POOL)
-    if not 1 <= n_objects <= top:
-        raise DomainError(f"n_objects must be in [1, {top}], got {n_objects}")
+def generate_episode(rng: RngStream, n_objects: int, horizon: int, d_action: int,
+                     split: str = "train") -> Episode:
+    """A scene of `n_objects` objects (`ExperimentConfig` bounds the count)."""
     positions = rng.uniform((n_objects, 3))
     ids = list(rng.generator.choice(OBJECT_ID_POOL, size=n_objects, replace=False))
     instruction = int(rng.integers(0, n_objects))
@@ -87,7 +85,7 @@ def episode_to_line(ep: Episode) -> str:
     return " ".join(parts)
 
 
-def episode_from_line(line: str, horizon: int = 4, d_action: int = 7) -> Episode:
+def episode_from_line(line: str, horizon: int, d_action: int) -> Episode:
     """Inverse of `episode_to_line`; a malformed line raises ConfigError."""
     toks = line.split()
     try:
@@ -118,7 +116,7 @@ def save_dataset(episodes, path):
             fh.write(episode_to_line(ep) + "\n")
 
 
-def load_dataset(path, horizon: int = 4, d_action: int = 7):
+def load_dataset(path, horizon: int, d_action: int):
     with open(path) as fh:
         return [episode_from_line(ln, horizon, d_action) for ln in fh if ln.strip()]
 
@@ -130,14 +128,10 @@ def dataset_hash(episodes) -> str:
     return h.hexdigest()
 
 
-def make_dataset(rng: RngStream, n_episodes: int, n_objects: int,
-                 n_patches: int = 8, horizon: int = 4, d_action: int = 7,
-                 split: str = "train"):
-    return [
-        generate_episode(rng.derive(i), n_objects, n_patches,
-                         horizon=horizon, d_action=d_action, split=split)
-        for i in range(n_episodes)
-    ]
+def make_dataset(rng: RngStream, n_episodes: int, n_objects: int, horizon: int,
+                 d_action: int, split: str = "train"):
+    return [generate_episode(rng.derive(i), n_objects, horizon, d_action, split)
+            for i in range(n_episodes)]
 
 
 # ------------------------------------------------------------ train / eval
@@ -153,7 +147,6 @@ def train_policy(policy: FusionPolicy, episodes, cfg: ExperimentConfig,
     opt = AdaptiveOptimizer(
         [(backbone, cfg.lr_backbone), (fusion, cfg.lr_fusion)],
         total_steps=cfg.train_steps, warmup_frac=cfg.warmup_frac,
-        beta1=cfg.beta1,
     )
     data_rng = rng.derive(101)
     noise_rng = rng.derive(102)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CORRUPTIONS, ExperimentConfig
-from .errors import GeofuseError
+from .errors import ConfigError, GeofuseError
 from .runner import (
     ABLATION_KINDS,
     RunRecord,
@@ -35,8 +35,17 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _out_dir(path) -> Path:
+    """The output directory, made before any run so a bad --out fails first."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot make the output directory ({exc})") from exc
+    return out
+
+
 def _write_run(out: Path, record: RunRecord, policy, cfg: ExperimentConfig):
-    out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(cfg.to_text())
     (out / "record.json").write_text(record.to_json() + "\n")
     (out / "loss.csv").write_text(loss_curves_csv([record]))
@@ -45,9 +54,7 @@ def _write_run(out: Path, record: RunRecord, policy, cfg: ExperimentConfig):
 
 
 def _write_tables(out: Path, records, fmt: str) -> str:
-    """Write the report table and `loss_curves.csv` into `out`, creating it;
-    returns the table."""
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the report table and `loss_curves.csv` into `out`; returns the table."""
     table = emit_table(records_to_rows(records), fmt)
     ext = "md" if fmt == "markdown" else "csv"
     (out / f"report.{ext}").write_text(table)
@@ -65,8 +72,8 @@ def _write_report(out: Path, records, fmt: str) -> str:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out)
     record, policy = run_single(cfg, return_policy=True)
-    out = Path(args.out)
     _write_run(out, record, policy, cfg)
     m = record.metrics["reach"]
     print(f"trained {cfg.scheme} ({cfg.arch}): "
@@ -88,15 +95,17 @@ def cmd_eval(args) -> int:
 
 def cmd_pilot(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out)
     records = run_pilot(pilot_configs(cfg), jobs=args.jobs)
-    print(_write_report(Path(args.out), records, args.format))
+    print(_write_report(out, records, args.format))
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out)
     records = run_ablation(args.kind, cfg, jobs=args.jobs)
-    print(_write_report(Path(args.out), records, args.format))
+    print(_write_report(out, records, args.format))
     return 0
 
 
@@ -104,8 +113,9 @@ def cmd_report(args) -> int:
     paths = sorted(Path(args.records).glob("record*.json"))
     if not paths:
         raise GeofuseError(f"no record files under {args.records}")
+    out = _out_dir(args.out or args.records)
     records = [RunRecord.from_json(p.read_bytes(), str(p)) for p in paths]
-    print(_write_tables(Path(args.out or args.records), records, args.format))
+    print(_write_tables(out, records, args.format))
     return 0
 
 

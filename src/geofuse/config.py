@@ -28,7 +28,6 @@ SCHEME_IDS = (
 )
 OBJECT_ID_POOL = 16  # object ids are drawn without replacement from range(16)
 ARCHS = ("groot", "pi")
-SPARSE_PHASES = ("first", "last")
 CORRUPTIONS = ("none", "zeros", "gaussian")
 
 _TYPES = {"str": str, "int": int, "float": float, "bool": bool}
@@ -57,11 +56,9 @@ class ExperimentConfig:
     noise_std: float = 1.0
     # fusion knobs
     sparse_k: int = 0
-    sparse_phase: str = "first"
     freeze_geo: bool = True
     align_weight: float = 0.1
     forcing_weight: float = 0.1
-    midlayer_k: int = -1  # -1 selects the middle backbone layer
     # corruption at evaluation time
     corruption: str = "none"
     corruption_sigma: float = 1.0
@@ -73,7 +70,6 @@ class ExperimentConfig:
     lr_backbone: float = 1e-3
     lr_fusion: float = 1e-2
     warmup_frac: float = 0.05
-    beta1: float = 0.0
 
     # fields that may legitimately differ between pilot runs
     PILOT_FREE_FIELDS = ("scheme",)
@@ -87,8 +83,6 @@ class ExperimentConfig:
             )
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown architecture {self.arch!r}; valid: {', '.join(ARCHS)}")
-        if self.sparse_phase not in SPARSE_PHASES:
-            raise ConfigError(f"unknown schedule phase {self.sparse_phase!r}")
         if self.sparse_k < 0:
             raise ConfigError(f"sparse_k must be >= 0, got {self.sparse_k}")
         if self.corruption not in CORRUPTIONS:
@@ -115,13 +109,13 @@ class ExperimentConfig:
                               f"blocks on its own backbone layer, but n_layers={self.n_layers}")
         if self.heads < 1 or self.d % self.heads:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
+        if self.d % 2 or (self.scheme == "spatial_forcing" and self.d_vggt % 2):
+            raise ConfigError(f"sin/cos tables need an even d (and d_vggt under "
+                              f"spatial_forcing), got d={self.d}, d_vggt={self.d_vggt}")
         if not (self.tau_alpha > 0 and self.tau_beta > 0):
             raise ConfigError("Beta shape parameters tau_alpha, tau_beta must be positive")
         if self.euler_steps < 1:
             raise ConfigError("need at least one integration step (euler_steps >= 1)")
-        if not -1 <= self.midlayer_k < self.n_layers:
-            raise ConfigError(f"mid-layer index {self.midlayer_k} out of range "
-                              f"for {self.n_layers} layers")
 
     @classmethod
     def from_dict(cls, overrides: dict) -> "ExperimentConfig":

@@ -40,35 +40,25 @@ def init_gate_params(store: ParamSet, rng: RngStream, prefix: str, d: int) -> Ga
     )
 
 
-def sigmoid_gate(a: Tensor, b: Tensor, w_gate, logit_offset: float = 0.0) -> Tensor:
-    """Per-position gate sigmoid([a; b] @ w_gate + logit_offset), strictly in
-    (0, 1).  logit_offset is a test hook for forcing gate saturation."""
-    logits = linear(concat([a, b], axis=2), w_gate)
-    if logit_offset:
-        logits = logits + logit_offset
-    return logits.sigmoid()
+def sigmoid_gate(a: Tensor, b: Tensor, w_gate) -> Tensor:
+    """Per-position gate sigmoid([a; b] @ w_gate), strictly in (0, 1)."""
+    return linear(concat([a, b], axis=2), w_gate).sigmoid()
 
 
-def gate_and_fuse(h_mllm: Tensor, f_geo: Tensor, params: GateParams,
-                  logit_offset: float = 0.0) -> tuple[Tensor, Tensor]:
+def gate_and_fuse(h_mllm: Tensor, f_geo: Tensor, params: GateParams) -> tuple[Tensor, Tensor]:
     """Blend pooled semantic context with geometric tokens per position.
 
     Returns (gate, fused), both B x N x D.
     """
     s_b = expand_seq(mean_pool_seq(h_mllm), f_geo.shape[1])
-    gate = sigmoid_gate(s_b, f_geo, params.w_gate, logit_offset)
+    gate = sigmoid_gate(s_b, f_geo, params.w_gate)
     fused = gate * linear(s_b, params.w_s) + (1.0 - gate) * linear(f_geo, params.w_g)
     return gate, fused
 
 
-def build_conditioning(h_mllm: Tensor, f_fused) -> Tensor:
-    """Append fused geometric tokens to the semantic sequence: B x (L + N) x D.
-
-    With no geometry (f_fused None or zero-length) the result is h_mllm
-    itself; otherwise its first L positions are a bit-identical copy.
-    """
-    if f_fused is None or f_fused.shape[1] == 0:
-        return h_mllm
+def build_conditioning(h_mllm: Tensor, f_fused: Tensor) -> Tensor:
+    """Append fused geometric tokens (N >= 1: every scene has an object) to
+    h_mllm: B x (L + N) x D, its first L positions h_mllm bit for bit."""
     if f_fused.shape[0] != h_mllm.shape[0] or f_fused.shape[2] != h_mllm.shape[2]:
         raise ShapeError(
             f"conditioning concat mismatch: {h_mllm.shape} vs {f_fused.shape}"
@@ -106,19 +96,11 @@ def layerwise_fuse(per_layer_h: list, f_vggt: Tensor, w_proj, gates: list,
     return out
 
 
-def sparse_layer_schedule(n_layers: int, k: int, phase: str = "first") -> list[bool]:
-    """Fuse at every (k+1)-th layer; k=0 means every layer fuses.
-
-    phase="first" anchors fusion at the shallowest layer; phase="last"
-    anchors it at the deepest (the anchoring is not pinned down by the
-    ablation description, so both are available).
-    """
+def sparse_layer_schedule(n_layers: int, k: int) -> list[bool]:
+    """Fuse at every (k+1)-th layer, anchored at the shallowest; k=0 means
+    every layer fuses."""
     if n_layers < 1:
         raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
     if k < 0:
         raise ConfigError(f"skip count must be >= 0, got {k}")
-    if phase == "first":
-        return [(i % (k + 1)) == 0 for i in range(n_layers)]
-    if phase == "last":
-        return [((n_layers - 1 - i) % (k + 1)) == 0 for i in range(n_layers)]
-    raise ConfigError(f"unknown schedule phase {phase!r}")
+    return [(i % (k + 1)) == 0 for i in range(n_layers)]

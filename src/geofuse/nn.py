@@ -18,15 +18,12 @@ def _value(p) -> Tensor:
     return p.value if isinstance(p, Param) else p
 
 
-def linear(x: Tensor, w, bias=None) -> Tensor:
-    """y[..., o] = sum_k x[..., k] * w[k, o] (+ bias[o])."""
+def linear(x: Tensor, w) -> Tensor:
+    """y[..., o] = sum_k x[..., k] * w[k, o]."""
     wt = _value(w)
     if x.shape[-1] != wt.shape[0]:
         raise ShapeError(f"linear: x {x.shape} incompatible with w {wt.shape}")
-    y = x @ wt
-    if bias is not None:
-        y = y + _value(bias)
-    return y
+    return x @ wt
 
 
 def mean_pool_seq(h: Tensor) -> Tensor:

@@ -1,9 +1,9 @@
-"""Adaptive-moment optimizer with warmup + cosine schedule.
+"""Momentum-free adaptive optimizer with warmup + cosine schedule.
 
-Default is the momentum-free variant (second-moment scaling only, with
-bias correction); set beta1 > 0 for the full Adam-style update.  Two
-parameter groups with independent peak learning rates implement the
-backbone-vs-fusion learning-rate split used by the training recipe.
+Each step scales the raw gradient by the bias-corrected running second
+moment (no first-moment average).  Two parameter groups with independent
+peak learning rates implement the backbone-vs-fusion learning-rate split
+used by the training recipe.
 """
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ EPS = 1e-8     # denominator floor
 
 
 class AdaptiveOptimizer:
-    def __init__(self, groups, total_steps: int, warmup_frac: float, beta1: float):
+    def __init__(self, groups, total_steps: int, warmup_frac: float):
         """groups: list of (params, peak_lr)."""
         self.groups = [(list(params), float(lr)) for params, lr in groups]
         self.total_steps = total_steps
         self.warmup_steps = max(1, int(warmup_frac * total_steps))
-        self.beta1 = beta1
         self.t = 0
-        self._m = {}
         self._v = {}
 
     def lr_scale(self) -> float:
@@ -36,7 +34,6 @@ class AdaptiveOptimizer:
         self.t += 1
         scale = self.lr_scale()
         bc2 = 1.0 - BETA2**self.t
-        bc1 = 1.0 - self.beta1**self.t if self.beta1 > 0 else 1.0
         for params, lr in self.groups:
             for p in params:
                 if not p.trainable:
@@ -50,14 +47,4 @@ class AdaptiveOptimizer:
                     self._v[p.id] = v
                 v *= BETA2
                 v += (1.0 - BETA2) * g * g
-                if self.beta1 > 0:
-                    m = self._m.get(p.id)
-                    if m is None:
-                        m = np.zeros_like(p.value.data)
-                        self._m[p.id] = m
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * g
-                    upd = m / bc1
-                else:
-                    upd = g
-                p.value.data -= scale * lr * upd / (np.sqrt(v / bc2) + EPS)
+                p.value.data -= scale * lr * g / (np.sqrt(v / bc2) + EPS)

@@ -28,8 +28,7 @@ def build_policy(cfg: ExperimentConfig) -> FusionPolicy:
 def build_datasets(cfg: ExperimentConfig):
     """(train, eval) episode lists for a config."""
     train = make_dataset(RngStream(cfg.seed, _STREAM_DATA).derive(0), cfg.dataset_size,
-                         cfg.n_objects, cfg.n_patches, cfg.horizon, cfg.d_action,
-                         split="train")
+                         cfg.n_objects, cfg.horizon, cfg.d_action, split="train")
     return train, build_eval_dataset(cfg)
 
 
@@ -37,8 +36,7 @@ def build_eval_dataset(cfg: ExperimentConfig):
     """The eval split alone, drawn from the same stream `build_datasets` uses,
     so a saved checkpoint can be re-scored on exactly its record's episodes."""
     return make_dataset(RngStream(cfg.seed, _STREAM_DATA).derive(1), cfg.eval_episodes,
-                        cfg.n_objects, cfg.n_patches, cfg.horizon, cfg.d_action,
-                        split="eval")
+                        cfg.n_objects, cfg.horizon, cfg.d_action, split="eval")
 
 
 def evaluate_config(policy: FusionPolicy, cfg: ExperimentConfig, episodes):
@@ -63,14 +61,18 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text, source: str = "run record") -> "RunRecord":
-        """Read a record from JSON text or bytes; keys it does not know (older
-        records' `wall_time`) are ignored.  A malformed record raises
-        ConfigError naming `source`."""
+        """Read a record from JSON text or bytes; unknown keys are ignored.  A
+        record the report tables cannot read raises ConfigError naming `source`.
+        The config is not rebuilt, so records naming removed keys still load."""
         try:
             d = json.loads(text)
-            return cls(d["config"], d["metrics"], d["loss_curve"], d["dataset_hash"])
-        except (ValueError, KeyError, TypeError) as exc:
+            rec = cls(d["config"], d["metrics"], d["loss_curve"], d["dataset_hash"])
+            if not (rec.metrics and isinstance(rec.loss_curve, list)):
+                raise TypeError("metrics names no task or loss_curve is not a list")
+            records_to_rows([rec])  # reads every config and metrics key a table reads
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"{source}: not a run record ({type(exc).__name__}: {exc})") from exc
+        return rec
 
 
 def run_single(cfg: ExperimentConfig, return_policy: bool = False):

@@ -114,10 +114,10 @@ class GateMixer:
         self.w_mix = store.new(f"{prefix}.w_mix", np.zeros((2 * d_vggt, d_vggt)))
         self.w_proj = store.new(f"{prefix}.w_proj", init_matrix(rng, d_vggt, d))
 
-    def __call__(self, geo: Tensor, pooled: Tensor, logit_offset: float = 0.0) -> Tensor:
+    def __call__(self, geo: Tensor, pooled: Tensor) -> Tensor:
         """geo: B x N x D_vggt patch tokens; pooled: their B x 1 x D_vggt mean."""
         glob = expand_seq(pooled, geo.shape[1])
-        gate = sigmoid_gate(geo, glob, self.w_mix, logit_offset)
+        gate = sigmoid_gate(geo, glob, self.w_mix)
         mixed = gate * geo + (1.0 - gate) * glob
         return linear(mixed, self.w_proj)
 
@@ -228,7 +228,7 @@ class GatedFusion(FusionScheme):
         self.gates = [init_gate_params(store, rng, p, d) for p in prefixes]
         # read under pi only: a fuse/skip flag per action block; skipped blocks
         # read plain semantics
-        self.schedule = sparse_layer_schedule(n, self.cfg.sparse_k, self.cfg.sparse_phase)
+        self.schedule = sparse_layer_schedule(n, self.cfg.sparse_k)
 
     def conditioning(self, per_layer, geo):
         if self.null_geo:
@@ -273,7 +273,7 @@ class ThreeDTokens(FusionScheme):
 
 @register
 class MidLayerInjection(FusionScheme):
-    """Adapter-style cross-attention injected after one backbone layer.
+    """Adapter-style cross-attention injected after backbone layer n_layers // 2.
 
     The adapter scale starts at zero, so a freshly built scheme is exactly
     the base model."""
@@ -284,7 +284,7 @@ class MidLayerInjection(FusionScheme):
 
     def build(self, store, rng):
         d, dv = self.cfg.d, self.cfg.d_vggt
-        self.k = self.cfg.midlayer_k if self.cfg.midlayer_k >= 0 else self.cfg.n_layers // 2
+        self.k = self.cfg.n_layers // 2
         self.w_proj = store.new("scheme.mid.w_proj", init_matrix(rng, dv, d))
         self.ln = norm_params(store, "scheme.mid.ln", d)
         self.attn = attention_params(store, rng, "scheme.mid.attn", d)

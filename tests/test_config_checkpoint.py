@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_cfg
 from geofuse.checkpoint import load_checkpoint, read_header, save_checkpoint
-from geofuse.config import ARCHS, CORRUPTIONS, SCHEME_IDS, SPARSE_PHASES, ExperimentConfig
+from geofuse.config import ARCHS, CORRUPTIONS, SCHEME_IDS, ExperimentConfig
 from geofuse.errors import CheckpointError, ConfigError
 from geofuse.runner import build_policy
 
@@ -70,18 +71,27 @@ def test_config_rejects_malformed_line():
 
 
 @pytest.mark.parametrize("text", [
-    "scheme=nope", "arch=nope", "sparse_phase=middle", "sparse_k=-1",
+    "scheme=nope", "arch=nope", "sparse_k=-1",
     "corruption=blur", "corruption=gaussian\ncorruption_sigma=0",
     "heads=3",  # d=32
-    "euler_steps=0", "tau_alpha=0", "tau_beta=nan", "midlayer_k=99",
+    "euler_steps=0", "tau_alpha=0", "tau_beta=nan",
     "n_layers=0", "batch_size=0", "horizon=0", "d=0\nheads=1", "train_steps=-1",
     "n_dit_layers=0", "arch=pi\nn_dit_layers=5",  # n_layers=4
     "d_vggt=0", "d_action=0",
     "noise_std=-1", "noise_std=nan", "n_objects=17\nn_patches=20",  # 16 object ids
+    "n_objects=0", "n_objects=9",  # n_patches=8
     "vocab_size=15",  # an object id drawn from range(16) would have no token
+    "d=9\nheads=3",  # sin/cos tables need an even width
+    "d_vggt=5\nscheme=spatial_forcing",
 ])
 def test_config_rejects_out_of_range_values_when_parsed(text):
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_text(text)
+
+
+@pytest.mark.parametrize("text", ["beta1=0.0", "sparse_phase=first", "midlayer_k=-1"])
+def test_config_refuses_removed_keys(text):
+    with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_text(text)
 
 
@@ -89,8 +99,7 @@ def test_config_rejects_out_of_range_values_when_parsed(text):
 def valid_configs(draw):
     """Any config that passes validation: every field drawn from its type,
     with the coupled sizes drawn so that they agree."""
-    choices = {"scheme": SCHEME_IDS, "arch": ARCHS, "sparse_phase": SPARSE_PHASES,
-               "corruption": CORRUPTIONS}
+    choices = {"scheme": SCHEME_IDS, "arch": ARCHS, "corruption": CORRUPTIONS}
     kw = {}
     for f in dataclasses.fields(ExperimentConfig):
         if f.name in choices:
@@ -102,9 +111,10 @@ def valid_configs(draw):
         else:  # positive and finite, so NaN never breaks equality
             kw[f.name] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     kw["seed"] = draw(st.integers(-2**70, 2**70))
-    kw["d"] = kw["heads"] * draw(st.integers(1, 8))
+    kw["d"] = math.lcm(kw["heads"], 2) * draw(st.integers(1, 8))
+    if kw["scheme"] == "spatial_forcing":
+        kw["d_vggt"] = 2 * draw(st.integers(1, 32))
     kw["n_dit_layers"] = draw(st.integers(1, kw["n_layers"]))
-    kw["midlayer_k"] = draw(st.integers(-1, kw["n_layers"] - 1))
     kw["sparse_k"] = draw(st.integers(0, 64))
     kw["train_steps"] = draw(st.integers(0, 64))
     kw["n_objects"] = draw(st.integers(1, min(kw["n_patches"], 16)))

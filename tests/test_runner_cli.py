@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import TINY_RUN, rows_from_csv, tiny_cfg
-from geofuse import cli
+from geofuse import cli, runner
 from geofuse.config import ExperimentConfig
 from geofuse.errors import ConfigError, ProtocolError
 from geofuse.runner import (
@@ -275,6 +275,61 @@ def test_cli_report_record_without_loss_curve_exits_1(tmp_path, capsys):
     assert cli.main(["report", "--records", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "record.json" in err and "loss_curve" in err
+
+
+def _record(**parts):
+    """A well-formed record as a JSON-ready dict, with `parts` replaced."""
+    rec = {"config": run_cfg().to_dict(),
+           "metrics": {"reach": {"success_rate": 0.5, "mean_l2_error": 0.1, "n_episodes": 4}},
+           "loss_curve": [1.0, 0.5], "dataset_hash": ""}
+    rec.update(parts)
+    return rec
+
+
+@pytest.mark.parametrize("parts", [
+    {"metrics": {"reach": {}}},
+    {"metrics": {}},
+    {"metrics": [0.5]},
+    {"config": {k: v for k, v in run_cfg().to_dict().items() if k != "arch"}},
+    {"loss_curve": "1.0 0.5"},
+], ids=["empty-task", "no-tasks", "metrics-list", "config-without-arch", "string-loss-curve"])
+def test_cli_report_misshapen_record_exits_1(tmp_path, capsys, parts):
+    (tmp_path / "record.json").write_text(json.dumps(_record(**parts)))
+    assert cli.main(["report", "--records", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record.json" in err
+
+
+def test_cli_report_reads_records_with_removed_config_keys(tmp_path, capsys):
+    rec = _record()
+    rec["config"].update(beta1=0.0, sparse_phase="first", midlayer_k=-1)
+    (tmp_path / "record.json").write_text(json.dumps(rec))
+    assert cli.main(["report", "--records", str(tmp_path)]) == 0
+    assert "| gated_fusion groot | 50.00 | 50.00 |" in capsys.readouterr().out
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("command", [["train"], ["pilot"], ["ablate", "--kind", "corruption"]],
+                         ids=["train", "pilot", "ablate"])
+def test_cli_out_naming_a_file_exits_1_before_any_run(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "run_single", _never_run)
+    monkeypatch.setattr(runner, "run_single", _never_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = command + ["--config", str(write_tiny_config(tmp_path)), "--out", str(taken)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_report_out_naming_a_file_exits_1(tmp_path, capsys):
+    (tmp_path / "record.json").write_text(json.dumps(_record()))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["report", "--records", str(tmp_path), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_report_non_json_record_exits_1(tmp_path, capsys):

@@ -143,23 +143,36 @@ def test_geo_required_schemes_fail_without_encoder(sid, scenes):
 
 # ------------------------------------------------------------------ gate mixer
 
+def saturate(mixer, logit):
+    """Zero the frame rows of a 6 -> 5 mixer's w_mix and set its pooled rows
+    so that a pooled token whose entries sum to 6 gives `logit` everywhere."""
+    mixer.w_mix.value.data[:6] = 0.0
+    mixer.w_mix.value.data[6:] = logit / 6
+
+
+def tokens_summing_to_width(x):
+    """x shifted so each token's entries sum to its width."""
+    return Tensor(x - x.mean(axis=2, keepdims=True) + 1.0)
+
+
 def test_gate_mixer_saturated_gate_selects_frame_path(rng):
-    store = ParamSet()
-    mixer = GateMixer(store, rng, "m", 6, 5)
-    tokens = Tensor(rng.normal((2, 3, 6)))
-    out = mixer(tokens, tokens.mean(axis=1, keepdims=True), logit_offset=50.0).data
+    mixer = GateMixer(ParamSet(), rng, "m", 6, 5)
+    saturate(mixer, 50.0)
+    tokens = tokens_summing_to_width(rng.normal((2, 3, 6)))
+    out = mixer(tokens, tokens.mean(axis=1, keepdims=True)).data
     want = tokens.data @ mixer.w_proj.value.data
     assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_gate_mixer_blend_of_equal_components_ignores_gate(rng):
-    store = ParamSet()
-    mixer = GateMixer(store, rng, "m", 6, 5)
+    mixer = GateMixer(ParamSet(), rng, "m", 6, 5)
     one = rng.normal((2, 1, 6))
-    tokens = Tensor(np.repeat(one, 3, axis=1))  # frame == global
+    tokens = tokens_summing_to_width(np.repeat(one, 3, axis=1))  # frame == global
     pooled = tokens.mean(axis=1, keepdims=True)
-    a = mixer(tokens, pooled, logit_offset=17.0).data
-    b = mixer(tokens, pooled, logit_offset=-17.0).data
+    saturate(mixer, 17.0)
+    a = mixer(tokens, pooled).data
+    saturate(mixer, -17.0)
+    b = mixer(tokens, pooled).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -256,11 +269,6 @@ def test_midlayer_adapter_gradient_is_live(rng, scenes):
     total.backward()
     alpha = pol.scheme.alpha.value
     assert alpha.grad is not None and abs(float(alpha.grad)) > 0
-
-
-def test_midlayer_out_of_range_index():
-    with pytest.raises(ConfigError):
-        tiny_cfg(scheme="midlayer_injection", midlayer_k=99)
 
 
 def test_crossattn_with_zeroed_attention_equals_concat(rng, scenes):

@@ -59,14 +59,6 @@ def test_linear_oracle_on_all_small_shapes(rng):
                     assert np.max(np.abs(got - matmul_oracle(x, w))) < 1e-12
 
 
-def test_linear_with_bias(rng):
-    x = rng.normal((2, 3))
-    w = rng.normal((3, 4))
-    bias = rng.normal((4,))
-    got = linear(Tensor(x), Tensor(w), Tensor(bias)).data
-    np.testing.assert_allclose(got, x @ w + bias, atol=1e-14)
-
-
 def test_linear_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
