@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import CapacityError, ConfigError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .nn import attention_params, cross_attention, init_matrix, layer_norm, linear, mlp, norm_params
 from .rng import RngStream
 from .tensor import ParamSet, Tensor, concat, embedding
@@ -70,9 +70,8 @@ def visual_span(n_visual: int) -> tuple[int, int]:
 
 
 def _sinusoid(pos: np.ndarray, d: int) -> np.ndarray:
-    """len(pos) x d sin/cos features over a geometric frequency ladder 1..100."""
-    if d % 2:
-        raise ConfigError(f"sinusoidal features need an even dim, got {d}")
+    """len(pos) x d sin/cos features over a geometric frequency ladder 1..100;
+    d is even (`ExperimentConfig` checks every width that reaches here)."""
     freqs = np.exp(np.linspace(0.0, np.log(100.0), d // 2))
     ang = pos[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
@@ -125,8 +124,6 @@ class ToyMLLM:
         """B x L x D token embeddings of a scene batch, laid out as
         `visual_span` says, plus sin/cos positions for the length L."""
         instr, vis = _batch_indices(scenes)
-        if np.any(instr >= self.cfg.vocab_size) or np.any(vis >= self.cfg.vocab_size):
-            raise CapacityError("object id outside instruction vocabulary")
         e_instr = embedding(self.tok_embed.value, instr)
         e_vis = embedding(self.vis_embed.value, vis)
         x = concat([e_instr, e_vis], axis=1)
@@ -171,8 +168,6 @@ class GeoEncoder:
         n = scenes[0].n_objects
         if any(s.n_objects != n for s in scenes):
             raise ShapeError("all scenes in a batch must share the object count")
-        if n > self.cfg.n_patches:
-            raise CapacityError(f"{n} objects exceed {self.cfg.n_patches} patch slots")
         pos = np.stack([s.object_positions for s in scenes])  # B x n x 3
         return Tensor(pos) @ self.w_embed.value + self.base.value[:n]
 
@@ -211,8 +206,8 @@ class ActionDiT:
         update; zc is the block's normed input to that read.
         """
         if len(conditioning) != self.cfg.n_dit_layers:
-            raise ConfigError(f"{self.cfg.n_dit_layers} action blocks need as many "
-                              f"conditioning Tensors, got {len(conditioning)}")
+            raise ShapeError(f"{self.cfg.n_dit_layers} action blocks need as many "
+                             f"conditioning Tensors, got {len(conditioning)}")
         if noisy.shape[1] != self.cfg.horizon or noisy.shape[2] != self.cfg.d_action:
             raise ShapeError(f"action chunk shape {noisy.shape} does not match config")
 

@@ -6,7 +6,8 @@ is a straight-line reach from the origin home pose split into equal
 per-step deltas, with the last channel closing the gripper on the final
 step.  Because the semantic channel withholds positions, solving the task
 requires the geometric stream, which is what every fusion experiment
-here measures.
+here measures.  Every size and count read here comes from an
+`ExperimentConfig`, which has already checked its bounds.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import OBJECT_ID_POOL, ExperimentConfig
-from .errors import ConfigError, TrainingError
+from .errors import TrainingError
 from .optim import AdaptiveOptimizer
 from .policy import FusionPolicy
 from .rng import RngStream
@@ -42,9 +43,8 @@ class Metrics:
 
 def target_action(scene: SceneSpec, horizon: int, d_action: int) -> np.ndarray:
     """Closed-form expert chunk: equal per-step deltas toward the target,
-    grasp channel firing on the last step."""
-    if d_action < 4:
-        raise ConfigError("d_action must leave room for 3 deltas plus grasp")
+    grasp channel firing on the last step (`ExperimentConfig` keeps
+    d_action >= 4)."""
     delta = (scene.target_position - HOME_POSE) / horizon
     chunk = np.zeros((horizon, d_action))
     chunk[:, :3] = delta
@@ -71,54 +71,18 @@ def corrupt_geo(tokens: np.ndarray, cfg: ExperimentConfig, rng: RngStream) -> np
     return rng.normal(tokens.shape, cfg.corruption_sigma)
 
 
-# ------------------------------------------------------------ dataset I/O
+# ------------------------------------------------------------ dataset hash
 
 def episode_to_line(ep: Episode) -> str:
-    """One episode per line: split, instruction index, object count, then
-    per-object `id x y z`, then the flattened target chunk, space-separated
-    decimal floats (round-trip exact via repr)."""
+    """The hashed form of an episode: split, instruction index, object
+    count, then per-object `id x y z`, then the flattened target chunk,
+    space-separated decimal floats written with repr."""
     parts = [ep.split, str(ep.scene.instruction_id), str(ep.scene.n_objects)]
     for oid, pos in zip(ep.scene.object_ids, ep.scene.object_positions):
         parts.append(str(oid))
         parts.extend(repr(float(v)) for v in pos)
     parts.extend(repr(float(v)) for v in ep.target.reshape(-1))
     return " ".join(parts)
-
-
-def episode_from_line(line: str, horizon: int, d_action: int) -> Episode:
-    """Inverse of `episode_to_line`; a malformed line raises ConfigError."""
-    toks = line.split()
-    try:
-        split, instruction, n = toks[0], int(toks[1]), int(toks[2])
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed dataset line start: {line[:40]!r}") from exc
-    want = 3 + 4 * n + horizon * d_action
-    if n < 1 or len(toks) != want:
-        raise ConfigError(f"dataset line has {len(toks)} tokens, expected {want} "
-                          f"for {n} objects")
-    ids, pos = [], []
-    try:
-        for i in range(3, 3 + 4 * n, 4):
-            ids.append(int(toks[i]))
-            pos.append([float(v) for v in toks[i + 1 : i + 4]])
-        target = np.array([float(v) for v in toks[3 + 4 * n :]]).reshape(horizon, d_action)
-    except ValueError as exc:
-        raise ConfigError(f"malformed dataset line: {exc}") from exc
-    pos = np.array(pos)
-    if not (np.isfinite(pos).all() and np.isfinite(target).all()):
-        raise ConfigError("dataset line holds a non-finite value")
-    return Episode(SceneSpec(pos, ids, instruction), target, split)
-
-
-def save_dataset(episodes, path):
-    with open(path, "w") as fh:
-        for ep in episodes:
-            fh.write(episode_to_line(ep) + "\n")
-
-
-def load_dataset(path, horizon: int, d_action: int):
-    with open(path) as fh:
-        return [episode_from_line(ln, horizon, d_action) for ln in fh if ln.strip()]
 
 
 def dataset_hash(episodes) -> str:
@@ -152,8 +116,6 @@ def train_policy(policy: FusionPolicy, episodes, cfg: ExperimentConfig,
     noise_rng = rng.derive(102)
     curve = []
     n = len(episodes)
-    if n == 0:
-        raise ConfigError("empty training dataset")
     for step in range(cfg.train_steps):
         idx = data_rng.integers(0, n, size=cfg.batch_size)
         scenes = [episodes[i].scene for i in idx]
@@ -171,9 +133,7 @@ def train_policy(policy: FusionPolicy, episodes, cfg: ExperimentConfig,
 
 def evaluate_policy(policy: FusionPolicy, episodes, rng: RngStream,
                     cfg: ExperimentConfig) -> Metrics:
-    """Score `policy` on `episodes` under `cfg.corruption`."""
-    if not episodes:
-        raise ConfigError("no evaluation episodes")
+    """Score `policy` on `episodes` (at least one) under `cfg.corruption`."""
     corrupt_rng = rng.derive(7)
 
     def corrupter(tokens):

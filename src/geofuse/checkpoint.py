@@ -35,7 +35,11 @@ def save_checkpoint(policy, config: ExperimentConfig, path) -> None:
 
 def read_header(path) -> tuple[dict, int]:
     """Parse and validate the header; returns (header, payload offset)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint {path}: cannot open ({exc})") from exc
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}: not a checkpoint file")

@@ -1,15 +1,17 @@
 """Flat key=value experiment configuration.
 
 `ExperimentConfig` is the one place a hyperparameter is named, defaulted
-and validated: every component reads its fields directly.  Unknown keys
-are rejected so stale config files fail loudly, and every value is type-
-and range-checked on construction, so a bad file or checkpoint header
-fails before any model is built.  `#` starts a comment; blank lines are
-ignored.  The serialized form round-trips exactly (repr floats).
+and validated: every component reads its fields directly and repeats
+none of its bounds.  Unknown keys are rejected so stale config files
+fail loudly, and every value is type- and range-checked on construction,
+so a bad file or checkpoint header fails before any model is built.
+`#` starts a comment; blank lines are ignored.  The serialized form
+round-trips exactly (repr floats).
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -48,7 +50,7 @@ class ExperimentConfig:
     d_vggt: int = 48
     n_dit_layers: int = 4
     horizon: int = 4
-    d_action: int = 7
+    d_action: int = 7  # >= 4: three position deltas plus the grasp channel
     # flow matching
     tau_alpha: float = 1.0
     tau_beta: float = 1.0
@@ -76,24 +78,30 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            setattr(self, f.name, _check_type(f.name, getattr(self, f.name), f.type))
+            value = _check_type(f.name, getattr(self, f.name), f.type)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            setattr(self, f.name, value)
         if self.scheme not in SCHEME_IDS:
             raise ConfigError(
                 f"unknown fusion scheme {self.scheme!r}; valid ids: {', '.join(SCHEME_IDS)}"
             )
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown architecture {self.arch!r}; valid: {', '.join(ARCHS)}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64) (a Philox key word), got {self.seed}")
         if self.sparse_k < 0:
             raise ConfigError(f"sparse_k must be >= 0, got {self.sparse_k}")
         if self.corruption not in CORRUPTIONS:
             raise ConfigError(f"unknown corruption mode {self.corruption!r}")
-        # `not x > 0` also rejects NaN
-        if self.corruption == "gaussian" and not self.corruption_sigma > 0:
+        if self.corruption == "gaussian" and self.corruption_sigma <= 0:
             raise ConfigError("gaussian corruption needs corruption_sigma > 0")
-        for name in ("d", "d_vggt", "d_action", "n_layers", "n_dit_layers", "horizon",
-                     "batch_size"):
+        for name in ("d", "d_vggt", "n_layers", "n_dit_layers", "horizon", "batch_size",
+                     "dataset_size", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_action < 4:
+            raise ConfigError(f"d_action must be >= 4 (3 deltas + grasp), got {self.d_action}")
         if self.train_steps < 0:
             raise ConfigError(f"train_steps must be >= 0, got {self.train_steps}")
         if self.vocab_size < OBJECT_ID_POOL:
@@ -102,7 +110,7 @@ class ExperimentConfig:
         if not 1 <= self.n_objects <= min(self.n_patches, OBJECT_ID_POOL):
             raise ConfigError(f"n_objects must be in [1, min(n_patches, {OBJECT_ID_POOL})], "
                               f"got {self.n_objects} with n_patches={self.n_patches}")
-        if not self.noise_std >= 0:
+        if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.arch == "pi" and self.n_dit_layers > self.n_layers:
             raise ConfigError(f"arch=pi conditions each of the {self.n_dit_layers} action "
@@ -112,7 +120,7 @@ class ExperimentConfig:
         if self.d % 2 or (self.scheme == "spatial_forcing" and self.d_vggt % 2):
             raise ConfigError(f"sin/cos tables need an even d (and d_vggt under "
                               f"spatial_forcing), got d={self.d}, d_vggt={self.d_vggt}")
-        if not (self.tau_alpha > 0 and self.tau_beta > 0):
+        if self.tau_alpha <= 0 or self.tau_beta <= 0:
             raise ConfigError("Beta shape parameters tau_alpha, tau_beta must be positive")
         if self.euler_steps < 1:
             raise ConfigError("need at least one integration step (euler_steps >= 1)")
@@ -144,8 +152,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {path}: cannot read ({exc})") from exc
+        return cls.from_text(text)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

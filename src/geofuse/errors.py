@@ -21,10 +21,6 @@ class ConfigError(GeofuseError):
     """Invalid configuration value or malformed config file."""
 
 
-class CapacityError(GeofuseError):
-    """Sequence length or object count exceeds a configured capacity."""
-
-
 class SchemeContractError(GeofuseError):
     """A fusion scheme was used outside its contract (e.g. missing geometry)."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .nn import expand_seq, init_matrix, linear, mean_pool_seq
 from .rng import RngStream
 from .tensor import Param, ParamSet, Tensor, concat
@@ -77,14 +77,10 @@ def layerwise_fuse(per_layer_h: list, f_vggt: Tensor, w_proj, gates: list,
                    schedule: list) -> list:
     """Layer-wise variant: geometry projected once, gated per layer.
 
-    Returns one conditioning tensor per layer.  schedule holds one fuse/skip
-    flag per layer; a skipped layer's conditioning is its semantic sequence
-    itself (no geometric tokens appended).
+    Returns one conditioning tensor per layer.  gates and schedule hold a
+    gate and a fuse/skip flag per layer; a skipped layer's conditioning is
+    its semantic sequence itself (no geometric tokens appended).
     """
-    if len(per_layer_h) != len(gates):
-        raise ConfigError(f"{len(per_layer_h)} hidden-state sets vs {len(gates)} gates")
-    if len(schedule) != len(per_layer_h):
-        raise ConfigError("schedule length does not match layer count")
     f_geo = linear(f_vggt, w_proj)
     out = []
     for h, gate, fuse in zip(per_layer_h, gates, schedule):
@@ -98,9 +94,6 @@ def layerwise_fuse(per_layer_h: list, f_vggt: Tensor, w_proj, gates: list,
 
 def sparse_layer_schedule(n_layers: int, k: int) -> list[bool]:
     """Fuse at every (k+1)-th layer, anchored at the shallowest; k=0 means
-    every layer fuses."""
-    if n_layers < 1:
-        raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
-    if k < 0:
-        raise ConfigError(f"skip count must be >= 0, got {k}")
+    every layer fuses.  `ExperimentConfig` bounds both arguments
+    (n_dit_layers >= 1, sparse_k >= 0)."""
     return [(i % (k + 1)) == 0 for i in range(n_layers)]

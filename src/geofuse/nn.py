@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .rng import RngStream
 from .tensor import Param, ParamSet, Tensor, layer_norm  # noqa: F401  (re-export)
 
@@ -45,11 +45,10 @@ def cross_attention(q: Tensor, kv: Tensor, wq, wk, wv, wo, heads: int) -> Tensor
     """Scaled-dot-product multi-head attention of q over kv.
 
     q: B x Lq x D, kv: B x Lk x Dkv; wk/wv map Dkv -> D so the kv source
-    may live in a different width than the query stream.
+    may live in a different width than the query stream.  D is a multiple
+    of `heads`, as `ExperimentConfig` requires.
     """
     d = _value(wq).shape[1]
-    if d % heads != 0:
-        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     hd = d // heads
     b, lq = q.shape[0], q.shape[1]
     lk = kv.shape[1]

@@ -62,15 +62,18 @@ class RunRecord:
     @classmethod
     def from_json(cls, text, source: str = "run record") -> "RunRecord":
         """Read a record from JSON text or bytes; unknown keys are ignored.  A
-        record the report tables cannot read raises ConfigError naming `source`.
-        The config is not rebuilt, so records naming removed keys still load."""
+        record the report tables cannot read, or with a success_rate outside
+        [0, 1], raises ConfigError naming `source`.  The config is not
+        rebuilt, so records naming removed keys still load."""
         try:
             d = json.loads(text)
             rec = cls(d["config"], d["metrics"], d["loss_curve"], d["dataset_hash"])
             if not (rec.metrics and isinstance(rec.loss_curve, list)):
                 raise TypeError("metrics names no task or loss_curve is not a list")
-            records_to_rows([rec])  # reads every config and metrics key a table reads
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            row, = records_to_rows([rec])  # reads every config and metrics key a table reads
+            if not all(0.0 <= s <= 100.0 for s in row.scores.values()):
+                raise ValueError("a success_rate lies outside [0, 1]")
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"{source}: not a run record ({type(exc).__name__}: {exc})") from exc
         return rec
 

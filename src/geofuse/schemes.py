@@ -19,7 +19,6 @@ import numpy as np
 
 from .backbones import sinusoid_table, visual_span
 from .config import SCHEME_IDS, ExperimentConfig  # noqa: F401 (re-exported beside the registry)
-from .errors import SchemeContractError
 from .gating import (
     build_conditioning,
     fuse_single,
@@ -46,7 +45,10 @@ def make_scheme(cfg: ExperimentConfig, store: ParamSet, rng):
 
 
 class FusionScheme:
-    """Base bundle: no geometry, conditioning is the raw semantic stream."""
+    """Base bundle: no geometry, conditioning is the raw semantic stream.
+
+    `geo` is None only in a pass whose `*_geo_required` flag is False:
+    `FusionPolicy.geo_tokens` alone decides that, so no hook checks it."""
 
     id = "none"
     inference_geo_required = False
@@ -98,11 +100,6 @@ class FusionScheme:
             return [fn(h) for h in per_layer[-n:]]
         return [fn(per_layer[-1])] * n
 
-    def _need(self, geo) -> Tensor:
-        if geo is None:
-            raise SchemeContractError(f"scheme {self.id!r} needs geometric tokens here")
-        return geo
-
 
 register(FusionScheme)
 
@@ -139,7 +136,7 @@ class AEFusion(FusionScheme):
         ]
 
     def geo_branch(self, geo):
-        f_geo = linear(self._need(geo), self.w_proj)
+        f_geo = linear(geo, self.w_proj)
 
         def branch(i, zc):
             p = self.block_params[i]
@@ -164,7 +161,7 @@ class EarlyFusion(FusionScheme):
     def modify_input(self, emb, geo):
         if self.null_geo:
             return emb
-        return concat([emb, linear(self._need(geo), self.w_proj)], axis=1)
+        return concat([emb, linear(geo, self.w_proj)], axis=1)
 
 
 @register
@@ -187,7 +184,6 @@ class ConcatFusion(FusionScheme):
     def conditioning(self, per_layer, geo):
         if self.null_geo:
             return super().conditioning(per_layer, geo)
-        geo = self._need(geo)
         f_geo = self.mixer(geo, mean_pool_seq(geo))  # once: it reads no backbone layer
         return self._per_block(per_layer,
                                lambda h: build_conditioning(h, self._refine(f_geo, h)))
@@ -233,7 +229,6 @@ class GatedFusion(FusionScheme):
     def conditioning(self, per_layer, geo):
         if self.null_geo:
             return super().conditioning(per_layer, geo)
-        geo = self._need(geo)
         n = self.cfg.n_dit_layers
         if self.cfg.arch == "pi":
             return layerwise_fuse(per_layer[-n:], geo, self.w_proj, self.gates, self.schedule)
@@ -264,7 +259,6 @@ class ThreeDTokens(FusionScheme):
     def aux_loss(self, per_layer, geo):
         if self.null_geo:
             return None
-        geo = self._need(geo)
         h_tok = per_layer[-1][:, -1, :]  # the appended special token's state
         pooled = geo.mean(axis=1)
         cos = cosine_rows(linear(h_tok, self.w_align), linear(pooled, self.w_proj))
@@ -291,7 +285,7 @@ class MidLayerInjection(FusionScheme):
         self.alpha = store.new("scheme.mid.alpha", np.zeros(()))
 
     def mid_hook(self, geo):
-        f_geo = linear(self._need(geo), self.w_proj)
+        f_geo = linear(geo, self.w_proj)
 
         def hook(i, h):
             if i != self.k:
@@ -326,7 +320,6 @@ class SpatialForcing(FusionScheme):
     def aux_loss(self, per_layer, geo):
         if self.null_geo:
             return None
-        geo = self._need(geo)
         n = geo.shape[1]
         lo, hi = visual_span(n)
         h_vis = per_layer[self.k][:, lo:hi, :]
@@ -353,7 +346,6 @@ class VisualFusion(FusionScheme):
     def modify_input(self, emb, geo):
         if self.null_geo:
             return emb
-        geo = self._need(geo)
         lo, hi = visual_span(geo.shape[1])
         t2d = emb[:, lo:hi, :]
         upd = cross_attention(t2d, geo, self.attn["wq"], self.attn["wk"],

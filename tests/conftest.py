@@ -16,13 +16,13 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 def tiny_cfg(**kw):
     base = dict(d=8, n_layers=2, heads=2, vocab_size=16, n_patches=4,
-                d_vggt=6, n_dit_layers=2, horizon=2, d_action=3)
+                d_vggt=6, n_dit_layers=2, horizon=2, d_action=4)
     base.update(kw)
     return ExperimentConfig(**base)
 
 
 # the tiny model's overrides for a whole run: a short budget, few Euler steps
-TINY_RUN = dict(d_action=4, euler_steps=2, train_steps=5, batch_size=4, dataset_size=8,
+TINY_RUN = dict(euler_steps=2, train_steps=5, batch_size=4, dataset_size=8,
                 eval_episodes=4)
 
 

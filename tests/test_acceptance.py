@@ -126,7 +126,7 @@ def test_gate_saturation_selects_pure_streams(announce):
 def test_every_scheme_passes_grad_check_in_both_archs(announce):
     t0 = time.perf_counter()
     scenes = make_scenes(RngStream(33, 0), 2, n_objects=2)
-    actions = RngStream(33, 1).normal((len(scenes), 2, 3))
+    actions = RngStream(33, 1).normal((len(scenes), 2, 4))
     worst = {}
     for sid in SCHEME_IDS:
         for arch in ("groot", "pi"):

@@ -1,30 +1,23 @@
 """Benchmark: episode generation, expert chunks vs the golden fixture,
-dataset round-trips, corruption modes, and a short training smoke run."""
+the dataset hash, corruption modes, and a short training smoke run."""
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import DATA_DIR, tiny_cfg
 from geofuse.backbones import SceneSpec
 from geofuse.bench import (
     HOME_POSE,
     SUCCESS_EPS,
-    Episode,
     corrupt_geo,
     dataset_hash,
-    episode_from_line,
-    episode_to_line,
     evaluate_policy,
     generate_episode,
-    load_dataset,
     make_dataset,
-    save_dataset,
     target_action,
     train_policy,
 )
 from geofuse.config import ExperimentConfig
-from geofuse.errors import ConfigError, DomainError, GeofuseError
+from geofuse.errors import ConfigError
 from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
 
@@ -112,92 +105,7 @@ def test_corruption_mode_validation():
         ExperimentConfig(corruption="gaussian", corruption_sigma=0.0)
 
 
-# ------------------------------------------------------------------ dataset io
-
-def test_episode_line_round_trip(rng):
-    ep = generate_episode(rng, 3, *CHUNK)
-    back = episode_from_line(episode_to_line(ep), *CHUNK)
-    np.testing.assert_array_equal(ep.scene.object_positions,
-                                  back.scene.object_positions)
-    assert ep.scene.object_ids == back.scene.object_ids
-    assert ep.scene.instruction_id == back.scene.instruction_id
-    np.testing.assert_array_equal(ep.target, back.target)
-    assert ep.split == back.split
-
-
-@pytest.mark.parametrize("field,value", [
-    (3, "-1"),   # object id
-    (4, "1.5"),  # x coordinate
-    (1, "3"),    # instruction index of a 3-object scene
-])
-def test_episode_line_with_out_of_range_value_raises_domain_error(rng, field, value):
-    toks = episode_to_line(generate_episode(rng, 3, *CHUNK)).split()
-    toks[field] = value
-    with pytest.raises(DomainError):
-        episode_from_line(" ".join(toks), *CHUNK)
-
-
-@st.composite
-def episodes(draw):
-    """(episode, horizon, d_action) with arbitrary finite floats."""
-    n = draw(st.integers(1, 8))
-    horizon, d_action = draw(st.integers(1, 5)), draw(st.integers(4, 8))
-    unit = st.floats(0.0, 1.0)
-    pos = draw(st.lists(st.lists(unit, min_size=3, max_size=3), min_size=n, max_size=n))
-    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    target = draw(st.lists(finite, min_size=horizon * d_action, max_size=horizon * d_action))
-    scene = SceneSpec(np.array(pos), ids, draw(st.integers(0, n - 1)))
-    ep = Episode(scene, np.array(target).reshape(horizon, d_action),
-                 draw(st.sampled_from(["train", "eval"])))
-    return ep, horizon, d_action
-
-
-@given(episodes())
-def test_episode_line_round_trip_is_exact(case):
-    ep, horizon, d_action = case
-    back = episode_from_line(episode_to_line(ep), horizon, d_action)
-    assert back.scene.object_positions.tobytes() == ep.scene.object_positions.tobytes()
-    assert back.scene.object_ids == ep.scene.object_ids
-    assert back.scene.instruction_id == ep.scene.instruction_id
-    assert back.target.tobytes() == ep.target.tobytes()
-    assert back.split == ep.split
-
-
-@given(episodes(), st.data())
-def test_truncated_episode_line_raises_typed_error(case, data):
-    ep, horizon, d_action = case
-    toks = episode_to_line(ep).split()
-    cut = data.draw(st.integers(0, len(toks) - 1))
-    with pytest.raises(GeofuseError):
-        episode_from_line(" ".join(toks[:cut]), horizon, d_action)
-
-
-def _not_a_number(tok):
-    try:
-        float(tok)
-    except ValueError:
-        return True
-    return False
-
-
-@given(episodes(), st.data())
-def test_non_numeric_episode_token_raises_typed_error(case, data):
-    ep, horizon, d_action = case
-    toks = episode_to_line(ep).split()
-    i = data.draw(st.integers(1, len(toks) - 1))  # token 0 is the free-text split
-    toks[i] = data.draw(st.text("abcdefxyz_-+", min_size=1).filter(_not_a_number))
-    with pytest.raises(GeofuseError):
-        episode_from_line(" ".join(toks), horizon, d_action)
-
-
-def test_dataset_file_round_trip(tmp_path, rng):
-    eps = make_dataset(rng, 10, 2, *CHUNK)
-    path = tmp_path / "ds.txt"
-    save_dataset(eps, path)
-    back = load_dataset(path, *CHUNK)
-    assert dataset_hash(eps) == dataset_hash(back)
-
+# ------------------------------------------------------------------ dataset hash
 
 def test_dataset_hash_is_sensitive(rng):
     a = make_dataset(RngStream(1, 1), 8, 2, *CHUNK)
@@ -238,16 +146,17 @@ def test_success_threshold_boundary(rng):
     assert m.success_rate == 0.0
 
 
-def test_evaluate_requires_episodes(rng):
-    with pytest.raises(ConfigError):
-        evaluate_policy(_StubPolicy(None), [], rng, ExperimentConfig())
+def test_evaluate_requires_episodes():
+    """An empty eval split is refused by the config, before any training."""
+    with pytest.raises(ConfigError, match="eval_episodes"):
+        tiny_cfg(eval_episodes=0)
 
 
 # ------------------------------------------------------------------ training smoke
 
 def _tiny_run(scheme, **budget):
     """A tiny policy and the config its training reads."""
-    cfg = tiny_cfg(scheme=scheme, d_action=4, **budget)
+    cfg = tiny_cfg(scheme=scheme, **budget)
     return FusionPolicy(cfg, RngStream(50, 0)), cfg
 
 
@@ -275,6 +184,6 @@ def test_training_is_deterministic():
 
 
 def test_training_rejects_empty_dataset():
-    with pytest.raises(ConfigError):
-        pol, cfg = _tiny_run("none", train_steps=1)
-        train_policy(pol, [], cfg, RngStream(0, 0))
+    """An empty training set is refused by the config, before any model is built."""
+    with pytest.raises(ConfigError, match="dataset_size"):
+        tiny_cfg(dataset_size=0)

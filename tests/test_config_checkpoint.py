@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_cfg
 from geofuse.checkpoint import load_checkpoint, read_header, save_checkpoint
 from geofuse.config import ARCHS, CORRUPTIONS, SCHEME_IDS, ExperimentConfig
-from geofuse.errors import CheckpointError, ConfigError
-from geofuse.runner import build_policy
+from geofuse.errors import CheckpointError, ConfigError, GeofuseError
+from geofuse.runner import build_policy, run_single
 
 
 # ------------------------------------------------------------------ config
@@ -77,8 +77,11 @@ def test_config_rejects_malformed_line():
     "euler_steps=0", "tau_alpha=0", "tau_beta=nan",
     "n_layers=0", "batch_size=0", "horizon=0", "d=0\nheads=1", "train_steps=-1",
     "n_dit_layers=0", "arch=pi\nn_dit_layers=5",  # n_layers=4
-    "d_vggt=0", "d_action=0",
-    "noise_std=-1", "noise_std=nan", "n_objects=17\nn_patches=20",  # 16 object ids
+    "d_vggt=0", "d_action=0", "d_action=3",  # 3 position deltas plus the grasp channel
+    "dataset_size=0", "eval_episodes=0",
+    "noise_std=-1", "noise_std=nan", "lr_fusion=inf", "warmup_frac=nan",
+    "seed=-1", "seed=18446744073709551616",  # seeds key a Philox generator: [0, 2**64)
+    "n_objects=17\nn_patches=20",  # 16 object ids
     "n_objects=0", "n_objects=9",  # n_patches=8
     "vocab_size=15",  # an object id drawn from range(16) would have no token
     "d=9\nheads=3",  # sin/cos tables need an even width
@@ -110,10 +113,11 @@ def valid_configs(draw):
             kw[f.name] = draw(st.integers(1, 64))
         else:  # positive and finite, so NaN never breaks equality
             kw[f.name] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    kw["seed"] = draw(st.integers(-2**70, 2**70))
+    kw["seed"] = draw(st.integers(0, 2**64 - 1))
     kw["d"] = math.lcm(kw["heads"], 2) * draw(st.integers(1, 8))
     if kw["scheme"] == "spatial_forcing":
         kw["d_vggt"] = 2 * draw(st.integers(1, 32))
+    kw["d_action"] = draw(st.integers(4, 64))
     kw["n_dit_layers"] = draw(st.integers(1, kw["n_layers"]))
     kw["sparse_k"] = draw(st.integers(0, 64))
     kw["train_steps"] = draw(st.integers(0, 64))
@@ -145,7 +149,7 @@ def test_config_shared_fields_excludes_scheme():
 # ------------------------------------------------------------------ checkpoints
 
 def write_ckpt(tmp_path):
-    cfg = tiny_cfg(d_action=4)
+    cfg = tiny_cfg()
     policy = build_policy(cfg)
     path = tmp_path / "model.bin"
     save_checkpoint(policy, cfg, path)
@@ -319,3 +323,56 @@ def test_checkpoint_truncated_anywhere(data):
         path.write_bytes(raw[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+# ------------------------------------------------------------------ config fuzz
+
+FLOAT_FIELDS = ("tau_alpha", "tau_beta", "noise_std", "corruption_sigma", "align_weight",
+                "forcing_weight", "lr_backbone", "lr_fusion", "warmup_frac")
+
+
+@st.composite
+def tiny_configs(draw):
+    """Fields of a tiny run, drawn across the config's bounds so that some
+    draws are refused; at most one float field takes any float at all."""
+    heads = draw(st.integers(1, 2))
+    kw = {"heads": heads, "d": 2 * heads * draw(st.integers(1, 2)),
+          "seed": draw(st.integers(0, 2**64 - 1)),
+          "scheme": draw(st.sampled_from(SCHEME_IDS)), "arch": draw(st.sampled_from(ARCHS)),
+          "corruption": draw(st.sampled_from(CORRUPTIONS)), "freeze_geo": draw(st.booleans()),
+          "vocab_size": draw(st.integers(16, 18)), "d_action": draw(st.integers(3, 8)),
+          "n_layers": draw(st.integers(1, 4)), "n_patches": draw(st.integers(2, 4)),
+          "sparse_k": draw(st.integers(0, 3)), "train_steps": draw(st.integers(2, 3))}
+    for name in ("d_vggt", "n_dit_layers", "n_objects", "horizon", "euler_steps",
+                 "batch_size", "dataset_size", "eval_episodes"):
+        kw[name] = draw(st.integers(1, 3))
+    for name in FLOAT_FIELDS:
+        kw[name] = draw(st.floats(0.1, 2.0))
+    wild = draw(st.sampled_from(FLOAT_FIELDS + ("",) * len(FLOAT_FIELDS)))
+    if wild:
+        kw[wild] = draw(st.floats())
+    return kw
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_configs())
+def test_every_accepted_config_runs_and_its_checkpoint_round_trips(kw):
+    """The config is the only gate: a config it accepts trains, evaluates
+    and saves, failing at most with a typed error of the run itself."""
+    try:
+        cfg = ExperimentConfig(**kw)
+    except ConfigError:
+        return  # refused before any model is built
+    try:
+        _, policy = run_single(cfg, return_policy=True)
+    except ConfigError as exc:
+        pytest.fail(f"an accepted config was refused after construction: {exc}")
+    except GeofuseError:
+        return  # say a loss that diverged under a huge learning rate
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.bin"
+        save_checkpoint(policy, cfg, path)
+        loaded, loaded_cfg = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    assert [p.value.data.tobytes() for p in loaded.store] == \
+        [p.value.data.tobytes() for p in policy.store]

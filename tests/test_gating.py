@@ -3,6 +3,7 @@ saturation limits, conditioning assembly, and the layer-wise variant."""
 import numpy as np
 import pytest
 
+from conftest import tiny_cfg
 from geofuse.errors import ConfigError, ShapeError
 from geofuse.gating import (
     GateParams,
@@ -261,13 +262,11 @@ def test_layerwise_perturbation_locality(rng):
     assert np.max(np.abs(ref[1].data - out[1].data)) > 0
 
 
-def test_layerwise_length_mismatch(rng):
-    w_proj, gates = layerwise_params(rng.derive(0), 6, 5, 2)
-    h = Tensor(rng.normal((2, 4, 5)))
-    with pytest.raises(ConfigError):
-        layerwise_fuse([h], Tensor(rng.normal((2, 3, 6))), w_proj, gates, [True])
-    with pytest.raises(ConfigError):
-        layerwise_fuse([h, h], Tensor(rng.normal((2, 3, 6))), w_proj, gates, [True])
+def test_layerwise_length_mismatch():
+    """`layerwise_fuse` gets one backbone layer per gate because the config
+    refuses more action blocks than backbone layers under pi."""
+    with pytest.raises(ConfigError, match="arch=pi"):
+        tiny_cfg(arch="pi", n_layers=2, n_dit_layers=3)
 
 
 def test_layerwise_skipped_layers_get_plain_semantics(rng):
@@ -294,7 +293,8 @@ def test_schedule_single_layer_always_fuses():
 
 
 def test_schedule_rejects_bad_args():
-    with pytest.raises(ConfigError):
-        sparse_layer_schedule(4, -1)
-    with pytest.raises(ConfigError):
-        sparse_layer_schedule(0, 1)
+    """The schedule's arguments are config fields, bounded there."""
+    with pytest.raises(ConfigError, match="sparse_k"):
+        tiny_cfg(sparse_k=-1)
+    with pytest.raises(ConfigError, match="n_dit_layers"):
+        tiny_cfg(n_dit_layers=0)

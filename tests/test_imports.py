@@ -1,4 +1,5 @@
-"""Every name imported in src/ and tests/ is used in its module.
+"""Static checks over the source: every name imported in src/ and tests/
+is used in its module, and only the input boundary raises ConfigError.
 
 An import kept only to re-export a name says so with `# noqa: F401`; a
 name listed in the module's `__all__` counts as used."""
@@ -52,3 +53,25 @@ def test_no_unused_imports_in_src_or_tests():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# the modules that read configs, flags and records; everything past them trusts
+# the bounds `ExperimentConfig` checks
+INPUT_BOUNDARY = {"config.py", "cli.py", "runner.py"}
+
+
+def _raised_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield node.lineno, exc.id
+
+
+def test_only_the_input_boundary_raises_config_error():
+    found = [f"{path.name}:{line}"
+             for path in sorted(ROOT.glob("src/geofuse/*.py"))
+             if path.name not in INPUT_BOUNDARY
+             for line, name in _raised_names(ast.parse(path.read_text()))
+             if name == "ConfigError"]
+    assert not found, "ConfigError raised past the input boundary: " + ", ".join(found)

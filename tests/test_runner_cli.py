@@ -1,7 +1,16 @@
 """Runner orchestration (pilot, ablations, tables) and the CLI surface."""
+import contextlib
+import functools
+import io
 import json
+import math
+import operator
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_RUN, rows_from_csv, tiny_cfg
 from geofuse import cli, runner
@@ -277,6 +286,9 @@ def test_cli_report_record_without_loss_curve_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "record.json" in err and "loss_curve" in err
 
 
+LABEL_KEYS = ("scheme", "arch", "corruption", "freeze_geo", "sparse_k")  # what a table reads
+
+
 def _record(**parts):
     """A well-formed record as a JSON-ready dict, with `parts` replaced."""
     rec = {"config": run_cfg().to_dict(),
@@ -298,6 +310,53 @@ def test_cli_report_misshapen_record_exits_1(tmp_path, capsys, parts):
     assert cli.main(["report", "--records", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "record.json" in err
+
+
+@pytest.mark.parametrize("score", ["Infinity", "-Infinity", "NaN", "1e999", "1.5", "-0.5"])
+def test_cli_report_refuses_a_success_rate_outside_the_unit_interval(tmp_path, capsys, score):
+    text = json.dumps(_record()).replace('"success_rate": 0.5', f'"success_rate": {score}')
+    (tmp_path / "record.json").write_text(text)
+    assert cli.main(["report", "--records", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "success_rate" in err
+
+
+# any JSON value, with the floats a score must not take drawn often
+JSON_VALUES = st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -0.5, 1.5]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """The path to every value inside a JSON tree, the root's excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_report_survives_any_record_mutation(data):
+    """Drop a key or replace the value at any path of a valid record: the
+    report either prints its table or stops with `error:` and exit 1."""
+    rec = _record()
+    rec["config"] = {k: rec["config"][k] for k in LABEL_KEYS}  # all a report reads
+    path = data.draw(st.sampled_from(list(_paths(rec))))
+    parent = functools.reduce(operator.getitem, path[:-1], rec)
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "record.json").write_text(json.dumps(rec))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["report", "--records", d])
+    assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
 
 
 def test_cli_report_reads_records_with_removed_config_keys(tmp_path, capsys):
@@ -322,6 +381,29 @@ def test_cli_out_naming_a_file_exits_1_before_any_run(tmp_path, capsys, monkeypa
     argv = command + ["--config", str(write_tiny_config(tmp_path)), "--out", str(taken)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", ["d_action=3", "dataset_size=0", "eval_episodes=0"])
+def test_cli_train_refuses_an_out_of_range_size_before_any_run(tmp_path, capsys, monkeypatch,
+                                                               bound):
+    monkeypatch.setattr(cli, "run_single", _never_run)
+    key = bound.split("=")[0]
+    lines = [ln for ln in run_cfg().to_text().splitlines() if not ln.startswith(key + "=")]
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text("\n".join(lines + [bound]) + "\n")
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--checkpoint"], ids=["train", "eval"])
+def test_cli_missing_input_file_exits_1(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.txt")
+    argv = (["train", flag, missing, "--out", str(tmp_path / "run")] if flag == "--config"
+            else ["eval", flag, missing])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.txt" in err
 
 
 def test_cli_report_out_naming_a_file_exits_1(tmp_path, capsys):

@@ -253,7 +253,7 @@ def test_spatial_forcing_grad_reaches_backbone_without_action_loss(rng, scenes):
 
 def test_spatial_forcing_total_loss_combines_terms(rng, scenes):
     pol = tiny_policy("spatial_forcing")
-    actions = RngStream(7, 7).normal((len(scenes), 2, 3))
+    actions = RngStream(7, 7).normal((len(scenes), 2, 4))
     total, parts = pol.loss(scenes, actions, RngStream(1, 1))
     assert "align" in parts
     assert total.item() == pytest.approx(parts["action"] + 0.1 * parts["align"], abs=1e-12)
@@ -263,7 +263,7 @@ def test_spatial_forcing_total_loss_combines_terms(rng, scenes):
 
 def test_midlayer_adapter_gradient_is_live(rng, scenes):
     pol = tiny_policy("midlayer_injection")
-    actions = RngStream(7, 7).normal((len(scenes), 2, 3))
+    actions = RngStream(7, 7).normal((len(scenes), 2, 4))
     total, _ = pol.loss(scenes, actions, RngStream(1, 1))
     pol.store.zero_grad()
     total.backward()
@@ -359,7 +359,7 @@ def test_probe_recovers_positions_only_with_geometry():
                                       ("gated_fusion", "pi")])
 def test_scheme_loss_grad_check(sid, arch, scenes):
     pol = tiny_policy(sid, arch)
-    actions = RngStream(7, 7).normal((len(scenes), 2, 3))
+    actions = RngStream(7, 7).normal((len(scenes), 2, 4))
 
     def loss():
         return pol.loss(scenes, actions, RngStream(13, 13))[0]

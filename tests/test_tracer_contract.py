@@ -35,7 +35,7 @@ def _step_and_predict(pol, scenes, actions):
 
 def test_traced_runs_cover_every_layer_and_change_nothing(tracer_mod):
     scenes = make_scenes(RngStream(3, 0), 2, n_objects=2)
-    actions = RngStream(3, 1).normal((len(scenes), 2, 3))
+    actions = RngStream(3, 1).normal((len(scenes), 2, 4))
     originals = (policy.FusionPolicy.__dict__["loss"], gating.fuse_single,
                  schemes.layerwise_fuse)
     plain = {(sid, arch): _step_and_predict(tiny_policy(sid, arch), scenes, actions)
