@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import CheckpointError
+from .runner import build_policy
 
 MAGIC = b"GFCKPT01"
 VERSION = 1
@@ -75,8 +76,6 @@ def _is_entry(m) -> bool:
 
 def load_checkpoint(path):
     """Rebuild the policy named in the header and restore every param bit-exactly."""
-    from .runner import build_policy  # runner depends on this module too
-
     header, offset = read_header(path)
     config = ExperimentConfig.from_dict(header["config"])
     policy = build_policy(config)

@@ -14,7 +14,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CORRUPTIONS, ExperimentConfig
 from .errors import ConfigError, GeofuseError
 from .runner import (
-    ABLATION_KINDS,
+    ABLATIONS,
     RunRecord,
     build_eval_dataset,
     emit_table,
@@ -22,10 +22,11 @@ from .runner import (
     loss_curves_csv,
     pilot_configs,
     records_to_rows,
-    run_ablation,
-    run_pilot,
+    run_all,
     run_single,
 )
+
+SWEEPS = {"pilot": pilot_configs, **ABLATIONS}  # sweep name -> base config -> configs
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -49,8 +50,7 @@ def _write_run(out: Path, record: RunRecord, policy, cfg: ExperimentConfig):
     (out / "config.txt").write_text(cfg.to_text())
     (out / "record.json").write_text(record.to_json() + "\n")
     (out / "loss.csv").write_text(loss_curves_csv([record]))
-    if policy is not None:
-        save_checkpoint(policy, cfg, out / "checkpoint.bin")
+    save_checkpoint(policy, cfg, out / "checkpoint.bin")
 
 
 def _write_tables(out: Path, records, fmt: str) -> str:
@@ -63,17 +63,17 @@ def _write_tables(out: Path, records, fmt: str) -> str:
 
 
 def _write_report(out: Path, records, fmt: str) -> str:
-    """`_write_tables` plus one `record_NN.json` per run; returns the table."""
-    table = _write_tables(out, records, fmt)
+    """One `record_NN.json` per run, then `_write_tables`; returns the table.
+    The records land first, so `report` can rebuild the tables from them."""
     for i, rec in enumerate(records):
         (out / f"record_{i:02d}.json").write_text(rec.to_json() + "\n")
-    return table
+    return _write_tables(out, records, fmt)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args.out)
-    record, policy = run_single(cfg, return_policy=True)
+    record, policy = run_single(cfg)
     _write_run(out, record, policy, cfg)
     m = record.metrics["reach"]
     print(f"trained {cfg.scheme} ({cfg.arch}): "
@@ -93,18 +93,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_pilot(args) -> int:
+def cmd_sweep(args) -> int:
+    """`pilot` and `ablate`: run every config of the sweep, then write its report."""
     cfg = _load_config(args)
     out = _out_dir(args.out)
-    records = run_pilot(pilot_configs(cfg), jobs=args.jobs)
-    print(_write_report(out, records, args.format))
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args.out)
-    records = run_ablation(args.kind, cfg, jobs=args.jobs)
+    records = run_all(SWEEPS[args.sweep](cfg), jobs=args.jobs)
     print(_write_report(out, records, args.format))
     return 0
 
@@ -134,9 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
         p.add_argument("--jobs", type=int, default=1)
 
-    multi_run(sub.add_parser("pilot", help="train+eval the base model and all nine schemes"))
+    p = sub.add_parser("pilot", help="train+eval the base model and all nine schemes")
+    p.set_defaults(sweep="pilot")
+    multi_run(p)
     p = sub.add_parser("ablate", help="run one ablation axis")
-    p.add_argument("--kind", choices=ABLATION_KINDS, required=True)
+    p.add_argument("--kind", dest="sweep", choices=ABLATIONS, required=True)
     multi_run(p)
     common(sub.add_parser("train", help="train a single configuration"))
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")
@@ -153,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
-    "pilot": cmd_pilot,
-    "ablate": cmd_ablate,
+    "pilot": cmd_sweep,
+    "ablate": cmd_sweep,
     "report": cmd_report,
 }
 

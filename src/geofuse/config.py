@@ -73,9 +73,6 @@ class ExperimentConfig:
     lr_fusion: float = 1e-2
     warmup_frac: float = 0.05
 
-    # fields that may legitimately differ between pilot runs
-    PILOT_FREE_FIELDS = ("scheme",)
-
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = _check_type(f.name, getattr(self, f.name), f.type)
@@ -175,12 +172,6 @@ class ExperimentConfig:
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
-
-    def shared_fields(self) -> dict:
-        d = self.to_dict()
-        for k in self.PILOT_FREE_FIELDS:
-            d.pop(k)
-        return d
 
 
 def _coerce(key, raw, ftype):

@@ -31,7 +31,3 @@ class CheckpointError(GeofuseError):
 
 class TrainingError(GeofuseError):
     """Training diverged (non-finite loss); message carries the step index."""
-
-
-class ProtocolError(GeofuseError):
-    """Pilot configs diverge in fields that must be shared across schemes."""

@@ -1,4 +1,4 @@
-"""Experiment runner: single runs, the scheme pilot, ablations, reports."""
+"""Experiment runner: single runs, sweeps (the scheme pilot, ablations), reports."""
 from __future__ import annotations
 
 import concurrent.futures
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .bench import dataset_hash, evaluate_policy, make_dataset, train_policy
 from .config import CORRUPTIONS, SCHEME_IDS, ExperimentConfig
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .policy import FusionPolicy
 from .rng import RngStream
 
@@ -47,7 +47,7 @@ def evaluate_config(policy: FusionPolicy, cfg: ExperimentConfig, episodes):
 @dataclass
 class RunRecord:
     config: dict
-    metrics: dict  # task name -> {variant -> {success_rate, mean_l2_error, n_episodes}}
+    metrics: dict  # task name -> {success_rate, mean_l2_error, n_episodes}
     loss_curve: list
     dataset_hash: str
 
@@ -78,8 +78,8 @@ class RunRecord:
         return rec
 
 
-def run_single(cfg: ExperimentConfig, return_policy: bool = False):
-    """Train and evaluate one configuration."""
+def run_single(cfg: ExperimentConfig) -> tuple[RunRecord, FusionPolicy]:
+    """Train and evaluate one configuration; returns its record and trained policy."""
     policy = build_policy(cfg)
     train_eps, eval_eps = build_datasets(cfg)
     curve = train_policy(policy, train_eps, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
@@ -92,52 +92,41 @@ def run_single(cfg: ExperimentConfig, return_policy: bool = False):
         loss_curve=curve,
         dataset_hash=dataset_hash(train_eps),
     )
-    return (record, policy) if return_policy else record
+    return record, policy
 
 
-def run_pilot(configs, jobs: int = 1):
-    """One run per scheme under an otherwise identical protocol."""
-    if not configs:
-        raise ProtocolError("pilot needs at least one config")
-    shared = configs[0].shared_fields()
-    for cfg in configs[1:]:
-        if cfg.shared_fields() != shared:
-            diff = [k for k, v in cfg.shared_fields().items() if shared[k] != v]
-            raise ProtocolError(f"pilot configs diverge in shared fields: {diff}")
-    return _run_all(configs, jobs)
-
+# A sweep maps a base config to the configs it runs.  Each differs from the
+# base only on its axis, so every run of a sweep shares one protocol.
 
 def pilot_configs(base: ExperimentConfig):
+    """One config per scheme, in `SCHEME_IDS` order (`none` first)."""
     return [base.replace(scheme=s) for s in SCHEME_IDS]
 
 
-ABLATION_KINDS = ("frozen_vs_trainable", "corruption", "sparse_depth")
+ABLATIONS = {
+    "frozen_vs_trainable": lambda base: [base.replace(freeze_geo=f) for f in (True, False)],
+    "corruption": lambda base: [base.replace(corruption=c) for c in CORRUPTIONS],
+    "sparse_depth": lambda base: [base.replace(arch="pi", sparse_k=k) for k in (0, 1, 2, 3)],
+}
 
 
-def run_ablation(kind: str, base: ExperimentConfig, jobs: int = 1):
-    if kind == "frozen_vs_trainable":
-        configs = [base.replace(freeze_geo=f) for f in (True, False)]
-    elif kind == "corruption":
-        configs = [base.replace(corruption=c) for c in CORRUPTIONS]
-    elif kind == "sparse_depth":
-        configs = [base.replace(arch="pi", sparse_k=k) for k in (0, 1, 2, 3)]
-    else:
-        raise ConfigError(f"unknown ablation kind {kind!r}; valid: {ABLATION_KINDS}")
-    return _run_all(configs, jobs)
-
-
-def _run_all(configs, jobs: int):
-    """`run_single` over configs, in order, on up to `jobs` threads.
+def run_all(configs, jobs: int = 1) -> list[RunRecord]:
+    """The records of `run_single` over configs, in order, on up to `jobs`
+    threads.  No trained policy outlives its run.
 
     Threads, not processes: runs share one interpreter, so anything patched
     on the package (timers, tracers) sees every run.  `run_single` is looked
-    up here at call time for the same reason."""
+    up at call time for the same reason."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+    def record(cfg):
+        return run_single(cfg)[0]
+
     if jobs == 1:
-        return [run_single(cfg) for cfg in configs]
+        return [record(cfg) for cfg in configs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_single, configs))
+        return list(pool.map(record, configs))
 
 
 # ------------------------------------------------------------------ tables
@@ -151,11 +140,12 @@ class TableRow:
 
 
 def records_to_rows(records) -> list[TableRow]:
+    """One row per record; the first `none` record is the base of the Gain column."""
     rows = []
     for rec in records:
         scores = {task: 100.0 * m["success_rate"] for task, m in rec.metrics.items()}
-        label = _record_label(rec)
-        rows.append(TableRow(label, scores, is_base=(rec.config["scheme"] == "none")))
+        is_base = rec.config["scheme"] == "none" and not any(r.is_base for r in rows)
+        rows.append(TableRow(_record_label(rec), scores, is_base=is_base))
     return rows
 
 
@@ -185,21 +175,12 @@ def emit_table(rows: list[TableRow], fmt: str = "markdown") -> str:
 
     Gains are differences of the *displayed* (2-decimal) averages, so the
     table is internally consistent to the reader."""
-    if fmt not in ("markdown", "csv"):
-        raise ConfigError(f"unknown table format {fmt!r}")
-    if not rows:
-        raise ConfigError("no rows to tabulate")
     tasks = list(rows[0].scores)
     for r in rows:
         if list(r.scores) != tasks:
             raise ConfigError(f"row {r.method!r} has a different task set")
 
-    base_avg = {}
-    for r in rows:
-        if r.is_base:
-            if r.group in base_avg:
-                raise ConfigError(f"duplicate base row in group {r.group!r}")
-            base_avg[r.group] = _round2(_avg(r.scores))
+    base_avg = {r.group: _round2(_avg(r.scores)) for r in rows if r.is_base}
     has_gain = any(not r.is_base and r.group in base_avg for r in rows)
 
     gains = []

@@ -5,8 +5,8 @@ closure per op; gradients are propagated by a topological sweep from a
 scalar loss.  Every op validates finiteness of its output so NaN/Inf
 surface immediately as NumericError rather than silently poisoning a
 training run.  Shapes are whatever numpy reports; broadcasting is
-supported only for the patterns actually used here (bias rows, pooled
-context tokens, per-sample scalars).
+supported only for the patterns actually used here (positional rows,
+pooled context tokens, per-sample scalars).
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ from geofuse.runner import (
     loss_curves_csv,
     pilot_configs,
     records_to_rows,
-    run_pilot,
+    run_all,
     run_single,
     TASK_NAME,
     _STREAM_TRAIN,
@@ -174,13 +174,14 @@ def test_flow_matching_exactness(announce):
 # ---------------------------------------------------------------- 05 nullability
 
 def _null_configured_policy(sid):
+    """Each scheme's documented setting that collapses it to the base model."""
     if sid == "ae_fusion":
         pol = tiny_policy(sid)
         for blk in pol.scheme.block_params:
             blk["wo"].value.data[:] = 0.0
         return pol
     if sid in ("midlayer_injection", "spatial_forcing", "none"):
-        return tiny_policy(sid)
+        return tiny_policy(sid)  # adapter scale starts at 0 / training-only
     pol = tiny_policy(sid)
     pol.scheme.null_geo = True
     return pol
@@ -227,8 +228,8 @@ def trained_runs():
     for seed in (7, 8, 9):
         cfg = ExperimentConfig(seed=seed)  # default scheme is gated_fusion
         t0 = time.perf_counter()
-        rec_g, pol_g = run_single(cfg, return_policy=True)
-        rec_b = run_single(cfg.replace(scheme="none"))
+        rec_g, pol_g = run_single(cfg)
+        rec_b, _ = run_single(cfg.replace(scheme="none"))
         out[seed] = (cfg, rec_g, pol_g, rec_b, time.perf_counter() - t0)
     return out
 
@@ -321,7 +322,7 @@ def test_reports_are_reproducible_and_checkpoints_round_trip(announce, tmp_path)
     reports = []
     curves = []
     for _ in range(2):
-        records = run_pilot(configs)
+        records = run_all(configs)
         reports.append(emit_table(records_to_rows(records)))
         curves.append(loss_curves_csv(records))
     deterministic = reports[0] == reports[1] and curves[0] == curves[1]

@@ -16,7 +16,7 @@ from conftest import tiny_cfg
 from geofuse.checkpoint import load_checkpoint, read_header, save_checkpoint
 from geofuse.config import ARCHS, CORRUPTIONS, SCHEME_IDS, ExperimentConfig
 from geofuse.errors import CheckpointError, ConfigError, GeofuseError
-from geofuse.runner import build_policy, run_single
+from geofuse.runner import ABLATIONS, build_policy, pilot_configs, run_single
 
 
 # ------------------------------------------------------------------ config
@@ -134,16 +134,44 @@ def test_config_text_round_trip_is_exact(cfg):
     assert back.to_text() == text
 
 
+# the fields each ablation varies; every other field is the base's
+ABLATION_AXES = {"frozen_vs_trainable": {"freeze_geo"}, "corruption": {"corruption"},
+                 "sparse_depth": {"arch", "sparse_k"}}
+
+
+def _sweep_or_none(make, base):
+    """The sweep's configs, or None when building one raises ConfigError,
+    which a command reports before any run starts."""
+    try:
+        return make(base)
+    except ConfigError:
+        return None
+
+
+def _changed(base, cfg):
+    return {k for k, v in cfg.to_dict().items() if base.to_dict()[k] != v}
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_sweeps_vary_only_their_axis(base):
+    """Every run of a sweep shares the base's protocol: each config differs
+    from the base only in the sweep's own fields."""
+    pilot = _sweep_or_none(pilot_configs, base)
+    if pilot is not None:
+        assert [c.scheme for c in pilot] == list(SCHEME_IDS) and pilot[0].scheme == "none"
+        assert all(_changed(base, c) <= {"scheme"} for c in pilot)
+    assert set(ABLATIONS) == set(ABLATION_AXES)
+    for kind, axis in ABLATION_AXES.items():
+        configs = _sweep_or_none(ABLATIONS[kind], base)
+        if configs is not None:
+            assert len(configs) >= 2
+            assert all(_changed(base, c) <= axis for c in configs)
+
+
 def test_config_widens_an_int_for_a_float_field():
     cfg = ExperimentConfig.from_dict({"tau_alpha": 2})
     assert type(cfg.tau_alpha) is float and cfg == ExperimentConfig(tau_alpha=2.0)
-
-
-def test_config_shared_fields_excludes_scheme():
-    a = ExperimentConfig(scheme="none")
-    b = ExperimentConfig(scheme="gated_fusion")
-    assert a.shared_fields() == b.shared_fields()
-    assert "scheme" not in a.shared_fields()
 
 
 # ------------------------------------------------------------------ checkpoints
@@ -364,7 +392,7 @@ def test_every_accepted_config_runs_and_its_checkpoint_round_trips(kw):
     except ConfigError:
         return  # refused before any model is built
     try:
-        _, policy = run_single(cfg, return_policy=True)
+        _, policy = run_single(cfg)
     except ConfigError as exc:
         pytest.fail(f"an accepted config was refused after construction: {exc}")
     except GeofuseError:

@@ -1,9 +1,11 @@
 """Static checks over the source: every name imported in src/ and tests/
-is used in its module, and only the input boundary raises ConfigError.
+is used in its module, only the input boundary raises ConfigError, and
+every package name the benchmark harness in perfbench/ reads exists.
 
 An import kept only to re-export a name says so with `# noqa: F401`; a
 name listed in the module's `__all__` counts as used."""
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -75,3 +77,64 @@ def test_only_the_input_boundary_raises_config_error():
              for line, name in _raised_names(ast.parse(path.read_text()))
              if name == "ConfigError"]
     assert not found, "ConfigError raised past the input boundary: " + ", ".join(found)
+
+
+def geofuse_reads(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, name) of every package name a module reads statically:
+    `from geofuse[.mod] import name`, and `alias.name` where an import bound
+    `alias` to a geofuse module or to a name inside one."""
+    tree = ast.parse(source)
+    reads, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "geofuse":
+            for alias in node.names:
+                reads.append((node.lineno, node.module, alias.name))
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "geofuse":
+                    local = alias.asname or alias.name.split(".")[0]
+                    bound[local] = alias.name if alias.asname else local
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            reads.append((node.lineno, bound[node.value.id], node.attr))
+    return reads
+
+
+def _exists(dotted: str) -> bool:
+    """Whether a dotted path names something, importing each submodule on
+    the way first: a package has a submodule as an attribute only once it
+    is imported."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        try:
+            importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            pass  # not a module: an attribute or nothing
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_reads_scanner_resolves_modules_and_names():
+    source = ("import geofuse\n"
+              "from geofuse import cli, runner\n"
+              "from geofuse.runner import pilot_config\n"
+              "def f():\n"
+              "    return geofuse.__file__, runner.pilot_configs, cli.no_such_name\n")
+    missing = [(line, f"{owner}.{name}") for line, owner, name in geofuse_reads(source)
+               if not _exists(f"{owner}.{name}")]
+    assert missing == [(3, "geofuse.runner.pilot_config"), (5, "geofuse.cli.no_such_name")]
+
+
+def test_every_package_name_perfbench_reads_exists():
+    """The harness drives the package by name; a rename must fail in Tier-1,
+    not first in `perfbench/smoke.py`."""
+    missing = [f"perfbench/{path.name}:{line}: {owner}.{name}"
+               for path in sorted(ROOT.glob("perfbench/*.py"))
+               for line, owner, name in geofuse_reads(path.read_text())
+               if not _exists(f"{owner}.{name}")]
+    assert not missing, "names perfbench reads are gone:\n" + "\n".join(missing)

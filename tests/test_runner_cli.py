@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 from conftest import TINY_RUN, rows_from_csv, tiny_cfg
 from geofuse import cli, runner
 from geofuse.config import ExperimentConfig
-from geofuse.errors import ConfigError, ProtocolError
+from geofuse.errors import ConfigError
 from geofuse.runner import (
+    ABLATIONS,
     RunRecord,
     TableRow,
     emit_table,
     loss_curves_csv,
     pilot_configs,
     records_to_rows,
-    run_ablation,
-    run_pilot,
+    run_all,
     run_single,
 )
 
@@ -36,7 +36,7 @@ def run_cfg(**kw):
 # ------------------------------------------------------------------ runs
 
 def test_run_single_record_contents():
-    rec = run_single(run_cfg())
+    rec, _ = run_single(run_cfg())
     assert len(rec.loss_curve) == TINY_RUN["train_steps"]
     m = rec.metrics["reach"]
     assert set(m) == {"success_rate", "mean_l2_error", "n_episodes"}
@@ -45,7 +45,7 @@ def test_run_single_record_contents():
 
 
 def test_run_record_json_round_trip():
-    rec = run_single(run_cfg())
+    rec, _ = run_single(run_cfg())
     back = RunRecord.from_json(rec.to_json())
     assert back.config == rec.config
     assert back.metrics == rec.metrics
@@ -54,31 +54,19 @@ def test_run_record_json_round_trip():
 
 
 def test_run_record_reads_older_records_with_wall_time():
-    rec = run_single(run_cfg())
+    rec, _ = run_single(run_cfg())
     old = json.loads(rec.to_json())
     old["wall_time"] = 1.5  # records once carried their run time
     assert RunRecord.from_json(json.dumps(old)).to_json() == rec.to_json()
 
 
 def test_pilot_covers_every_scheme():
-    records = run_pilot(pilot_configs(run_cfg()))
+    records = run_all(pilot_configs(run_cfg()))
     assert len(records) == 10
     schemes = [r.config["scheme"] for r in records]
     assert schemes[0] == "none" and len(set(schemes)) == 10
     hashes = {r.dataset_hash for r in records}
     assert len(hashes) == 1  # identical data protocol across schemes
-
-
-def test_pilot_rejects_divergent_protocol():
-    configs = pilot_configs(run_cfg())
-    configs[3] = configs[3].replace(seed=99)
-    with pytest.raises(ProtocolError, match="seed"):
-        run_pilot(configs)
-
-
-def test_pilot_rejects_empty():
-    with pytest.raises(ProtocolError):
-        run_pilot([])
 
 
 def _same_runs(a, b):
@@ -88,16 +76,16 @@ def _same_runs(a, b):
 
 def test_parallel_runs_match_serial():
     configs = pilot_configs(run_cfg())[:3]
-    assert _same_runs(run_pilot(configs, jobs=2), run_pilot(configs, jobs=1))
-    assert _same_runs(run_ablation("sparse_depth", run_cfg(), jobs=2),
-                      run_ablation("sparse_depth", run_cfg(), jobs=1))
+    assert _same_runs(run_all(configs, jobs=2), run_all(configs, jobs=1))
+    sparse = ABLATIONS["sparse_depth"](run_cfg())
+    assert _same_runs(run_all(sparse, jobs=2), run_all(sparse, jobs=1))
 
 
 def test_jobs_below_one_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="jobs"):
-        run_pilot(pilot_configs(run_cfg()), jobs=0)
+        run_all(pilot_configs(run_cfg()), jobs=0)
     with pytest.raises(ConfigError, match="jobs"):
-        run_ablation("corruption", run_cfg(), jobs=-1)
+        run_all(ABLATIONS["corruption"](run_cfg()), jobs=-1)
     cfg_path = write_tiny_config(tmp_path)
     assert cli.main(["pilot", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
                      "--jobs", "0"]) == 1
@@ -105,13 +93,14 @@ def test_jobs_below_one_rejected(tmp_path, capsys):
 
 
 def test_corruption_ablation_three_records():
-    records = run_ablation("corruption", run_cfg())
+    records = run_all(ABLATIONS["corruption"](run_cfg()))
     assert [r.config["corruption"] for r in records] == ["none", "zeros", "gaussian"]
 
 
-def test_unknown_ablation_kind():
-    with pytest.raises(ConfigError, match="unknown ablation kind"):
-        run_ablation("lr_sweep", run_cfg())
+def test_unknown_ablation_kind(tmp_path, capsys):
+    argv = ["ablate", "--kind", "lr_sweep", "--out", str(tmp_path / "abl")]
+    assert cli.main(argv) == 2
+    assert "invalid choice: 'lr_sweep'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ tables
@@ -152,29 +141,15 @@ def test_table_rejects_heterogeneous_tasks():
         emit_table(rows)
 
 
-def test_table_rejects_duplicate_base():
-    rows = [TableRow("a", {"reach": 1.0}, is_base=True),
-            TableRow("b", {"reach": 2.0}, is_base=True)]
-    with pytest.raises(ConfigError, match="duplicate base"):
-        emit_table(rows)
-
-
-def test_table_rejects_empty_and_bad_format():
-    with pytest.raises(ConfigError):
-        emit_table([])
-    with pytest.raises(ConfigError):
-        emit_table([TableRow("a", {"reach": 1.0})], fmt="latex")
-
-
 def test_records_to_rows_marks_base():
-    records = run_pilot(pilot_configs(run_cfg())[:2])
+    records = run_all(pilot_configs(run_cfg())[:2])
     rows = records_to_rows(records)
     assert rows[0].is_base and not rows[1].is_base
     assert rows[0].scores["reach"] == 100.0 * records[0].metrics["reach"]["success_rate"]
 
 
 def test_loss_curves_csv_layout():
-    records = run_pilot(pilot_configs(run_cfg())[:2])
+    records = run_all(pilot_configs(run_cfg())[:2])
     lines = loss_curves_csv(records).splitlines()
     assert lines[0].startswith("step,")
     assert len(lines) == 1 + TINY_RUN["train_steps"]
@@ -440,3 +415,16 @@ def test_cli_ablate_writes_report(tmp_path, capsys):
     capsys.readouterr()
     assert (out / "report.csv").exists()
     assert len(list(out.glob("record_*.json"))) == 3
+
+
+def test_cli_sweep_of_base_runs_reports_the_first_as_base(tmp_path, capsys):
+    """Every corruption run of `scheme=none` is a `none` record: the first is
+    the Gain column's base, and `report` rebuilds the same table."""
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--kind", "corruption", "--out", str(out),
+                     "--config", str(write_tiny_config(tmp_path, scheme="none"))]) == 0
+    table = capsys.readouterr().out
+    assert len(list(out.glob("record_*.json"))) == 3
+    assert table.count("| +0.00 |") == 2  # `none` never reads the corrupted geometry
+    assert cli.main(["report", "--records", str(out)]) == 0
+    assert capsys.readouterr().out == table
