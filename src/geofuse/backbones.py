@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .nn import attention_params, cross_attention, init_matrix, layer_norm, linear, mlp, norm_params
 from .rng import RngStream
 from .tensor import ParamSet, Tensor, concat, embedding
@@ -42,15 +42,6 @@ class SceneSpec:
         self.object_positions = np.asarray(self.object_positions, dtype=np.float64)
         if self.object_positions.ndim != 2 or self.object_positions.shape[1] != 3:
             raise ShapeError(f"object_positions must be (n, 3), got {self.object_positions.shape}")
-        if np.any(self.object_positions < 0) or np.any(self.object_positions > 1):
-            raise DomainError("object positions must lie in [0, 1]^3")
-        if any(i < 0 for i in self.object_ids):
-            raise DomainError(f"object ids must be >= 0, got {self.object_ids}")
-        if not 0 <= self.instruction_id < len(self.object_ids):
-            raise DomainError(
-                f"instruction_id {self.instruction_id} does not index "
-                f"{len(self.object_ids)} objects"
-            )
 
     @property
     def n_objects(self) -> int:
@@ -85,8 +76,6 @@ def sinusoid_table(n: int, d: int) -> np.ndarray:
 def timestep_embedding(tau, d: int) -> Tensor:
     """Sinusoidal embedding of flow time; tau scalar or per-sample vector."""
     t = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-    if np.any(t < 0) or np.any(t > 1):
-        raise DomainError(f"tau must lie in [0, 1], got {tau}")
     return Tensor(_sinusoid(t, d)[:, None, :])  # B(or 1) x 1 x D
 
 

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.
+
+Each error below derives from GeofuseError; the CLI reports any of them as
+`error: ...` with exit code 1."""
 
 
 class GeofuseError(Exception):
@@ -10,11 +13,7 @@ class ShapeError(GeofuseError):
 
 
 class NumericError(GeofuseError):
-    """A tensor picked up NaN/Inf, or a loss became non-finite."""
-
-
-class DomainError(GeofuseError):
-    """A scalar argument fell outside its valid range."""
+    """A tensor or an Euler state picked up NaN/Inf, or sqrt met a negative."""
 
 
 class ConfigError(GeofuseError):
@@ -30,4 +29,5 @@ class CheckpointError(GeofuseError):
 
 
 class TrainingError(GeofuseError):
-    """Training diverged (non-finite loss); message carries the step index."""
+    """Training diverged (non-finite loss); message carries the step index.
+    Each Tensor's finiteness check raises NumericError before it can fire."""

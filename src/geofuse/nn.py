@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .rng import RngStream
 from .tensor import Param, ParamSet, Tensor, layer_norm  # noqa: F401  (re-export)
 
@@ -116,51 +116,3 @@ def norm_params(store: ParamSet, prefix: str, d: int):
         "bias": store.new(f"{prefix}.bias", np.zeros(d)),
     }
 
-
-# ------------------------------------------------------------------ grad check
-
-def grad_check(loss_fn, params, rng: RngStream, n_coords: int = 50, h: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn must be a deterministic closure returning a scalar Tensor.
-    Coordinates are sampled across all trainable params; frozen params are
-    asserted to receive no gradient.
-    """
-    params = list(params)
-    for p in params:
-        p.value.grad = None
-    loss = loss_fn()
-    if not np.isfinite(loss.data):
-        raise NumericError("grad_check: non-finite loss")
-    loss.backward()
-
-    trainables = [p for p in params if p.trainable]
-    for p in params:
-        if not p.trainable and p.value.grad is not None:
-            raise NumericError(f"frozen param {p.id} received a gradient")
-
-    coords = []
-    for p in trainables:
-        g = p.value.grad
-        if g is None:
-            g = np.zeros_like(p.value.data)
-            p.value.grad = g
-        coords.extend((p, i) for i in range(p.value.data.size))
-    if len(coords) > n_coords:
-        pick = rng.generator.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[i] for i in sorted(pick)]
-
-    worst = 0.0
-    for p, flat_i in coords:
-        buf = p.value.data.reshape(-1)
-        orig = buf[flat_i]
-        buf[flat_i] = orig + h
-        lp = loss_fn().item()
-        buf[flat_i] = orig - h
-        lm = loss_fn().item()
-        buf[flat_i] = orig
-        cd = (lp - lm) / (2 * h)
-        an = p.value.grad.reshape(-1)[flat_i]
-        rel = abs(an - cd) / (abs(an) + abs(cd) + 1e-8)
-        worst = max(worst, rel)
-    return worst

@@ -36,10 +36,8 @@ class AdaptiveOptimizer:
         bc2 = 1.0 - BETA2**self.t
         for params, lr in self.groups:
             for p in params:
-                if not p.trainable:
-                    continue
                 g = p.value.grad
-                if g is None:
+                if g is None or not p.value.requires_grad:
                     continue
                 v = self._v.get(p.id)
                 if v is None:

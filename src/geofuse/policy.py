@@ -39,13 +39,11 @@ class FusionPolicy:
     # -- parameter bookkeeping --------------------------------------------
 
     def param_groups(self):
-        """(backbone params, fusion/action params); frozen params excluded
-        from both (the optimizer skips them anyway)."""
+        """(backbone `mllm.*` params, every other param), in store order;
+        the optimizer skips frozen params."""
         backbone = [p for p in self.store if p.id.startswith("mllm.")]
-        rest = [p for p in self.store if not p.id.startswith("mllm.")
-                and not p.id.startswith("geo.")]
-        geo = [p for p in self.store if p.id.startswith("geo.") and p.trainable]
-        return backbone, rest + geo
+        rest = [p for p in self.store if not p.id.startswith("mllm.")]
+        return backbone, rest
 
     # -- geometry ----------------------------------------------------------
 

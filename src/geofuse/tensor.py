@@ -201,7 +201,8 @@ class Tensor:
     # -- elementwise nonlinearities ---------------------------------------
 
     def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
+        with np.errstate(over="ignore"):  # exp(-x) -> inf for x < -709 gives y = 0.0 exactly
+            y = 1.0 / (1.0 + np.exp(-self.data))
 
         def bwd(g):
             self._maybe(g * y * (1.0 - y))
@@ -312,14 +313,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 @dataclass
 class Param:
-    """Named model parameter; frozen params take no gradient and never move."""
+    """Named model parameter.  It trains iff its tensor requires grad; a
+    frozen param takes no gradient and never moves."""
 
     id: str
     value: Tensor
-    trainable: bool = True
-
-    def __post_init__(self):
-        self.value.requires_grad = self.trainable
 
 
 class ParamSet:
@@ -335,16 +333,13 @@ class ParamSet:
         return param
 
     def new(self, pid: str, data, trainable: bool = True) -> Param:
-        return self.add(Param(pid, Tensor(data), trainable))
+        return self.add(Param(pid, Tensor(data, requires_grad=trainable)))
 
     def __getitem__(self, pid: str) -> Param:
         return self._by_id[pid]
 
     def __iter__(self):
         return iter(self._by_id.values())
-
-    def __len__(self):
-        return len(self._by_id)
 
     def ids(self):
         return list(self._by_id)

@@ -1,12 +1,15 @@
-"""Shared helpers: one tiny model config, a tiny policy, scene builders
-and the committed score-table fixtures, for fast tests."""
+"""Shared helpers: one tiny model config, a tiny policy, scene builders,
+the committed score-table fixtures and a finite-difference gradient check,
+for fast tests."""
 import csv
 import pathlib
 
+import numpy as np
 import pytest
 
 from geofuse.backbones import SceneSpec
 from geofuse.config import ExperimentConfig
+from geofuse.errors import NumericError
 from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
 from geofuse.runner import TableRow
@@ -51,6 +54,53 @@ def rows_from_csv(name):
             scores = {k: float(v) for k, v in rec.items()}
             rows.append(TableRow(method, scores, group=group, is_base=is_base))
     return rows
+
+
+def grad_check(loss_fn, params, rng: RngStream, n_coords: int = 50, h: float = 1e-4) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn must be a deterministic closure returning a scalar Tensor.
+    Coordinates are sampled across all trainable params; frozen params are
+    asserted to receive no gradient.
+    """
+    params = list(params)
+    for p in params:
+        p.value.grad = None
+    loss = loss_fn()
+    if not np.isfinite(loss.data):
+        raise NumericError("grad_check: non-finite loss")
+    loss.backward()
+
+    trainables = [p for p in params if p.value.requires_grad]
+    for p in params:
+        if not p.value.requires_grad and p.value.grad is not None:
+            raise NumericError(f"frozen param {p.id} received a gradient")
+
+    coords = []
+    for p in trainables:
+        g = p.value.grad
+        if g is None:
+            g = np.zeros_like(p.value.data)
+            p.value.grad = g
+        coords.extend((p, i) for i in range(p.value.data.size))
+    if len(coords) > n_coords:
+        pick = rng.generator.choice(len(coords), size=n_coords, replace=False)
+        coords = [coords[i] for i in sorted(pick)]
+
+    worst = 0.0
+    for p, flat_i in coords:
+        buf = p.value.data.reshape(-1)
+        orig = buf[flat_i]
+        buf[flat_i] = orig + h
+        lp = loss_fn().item()
+        buf[flat_i] = orig - h
+        lm = loss_fn().item()
+        buf[flat_i] = orig
+        cd = (lp - lm) / (2 * h)
+        an = p.value.grad.reshape(-1)[flat_i]
+        rel = abs(an - cd) / (abs(an) + abs(cd) + 1e-8)
+        worst = max(worst, rel)
+    return worst
 
 
 @pytest.fixture

@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TINY_RUN, make_scenes, rows_from_csv, tiny_cfg, tiny_policy
+from conftest import TINY_RUN, grad_check, make_scenes, rows_from_csv, tiny_cfg, tiny_policy
 from geofuse.bench import dataset_hash, evaluate_policy, train_policy
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.config import ExperimentConfig
 from geofuse.flow import euler_integrate, fm_training_targets
 from geofuse.gating import fuse_single, gate_and_fuse, init_gate_params
-from geofuse.nn import grad_check, init_matrix, linear, mean_pool_seq, expand_seq
+from geofuse.nn import init_matrix, linear, mean_pool_seq, expand_seq
 from geofuse.rng import RngStream
 from geofuse.runner import (
     RunRecord,

@@ -3,7 +3,7 @@ saturation limits, conditioning assembly, and the layer-wise variant."""
 import numpy as np
 import pytest
 
-from conftest import tiny_cfg
+from conftest import grad_check, tiny_cfg
 from geofuse.errors import ConfigError, ShapeError
 from geofuse.gating import (
     GateParams,
@@ -14,7 +14,7 @@ from geofuse.gating import (
     layerwise_fuse,
     sparse_layer_schedule,
 )
-from geofuse.nn import grad_check, init_matrix, linear, mse
+from geofuse.nn import init_matrix, linear, mse
 from geofuse.rng import RngStream
 from geofuse.tensor import ParamSet, Tensor
 

@@ -1,6 +1,8 @@
 """Static checks over the source: every name imported in src/ and tests/
-is used in its module, only the input boundary raises ConfigError, and
-every package name the benchmark harness in perfbench/ reads exists.
+is used in its module, every function, class and method src/ defines is
+read somewhere in src/ or perfbench/, only the input boundary raises
+ConfigError, and every package name the benchmark harness in perfbench/
+reads exists.
 
 An import kept only to re-export a name says so with `# noqa: F401`; a
 name listed in the module's `__all__` counts as used."""
@@ -55,6 +57,64 @@ def test_no_unused_imports_in_src_or_tests():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def defined_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every undecorated module-level function and class,
+    and every undecorated non-dunder method, as `Class.method`."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list:
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((m.lineno, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.decorator_list
+                         and not (m.name.startswith("__") and m.name.endswith("__")))
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads: loaded names and attributes, and the
+    names its imports bind."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_dead_name_scanner_flags_only_unread_definitions():
+    source = ("from dataclasses import dataclass\n"
+              "from json import dumps\n"
+              "def used(): return dumps\n"
+              "def unused(): pass\n"
+              "@dataclass\n"
+              "class Spec: pass\n"
+              "class Box:\n"
+              "    def __len__(self): return 0\n"
+              "    def read(self): return used()\n"
+              "    def dead(self): pass\n"
+              "    @staticmethod\n"
+              "    def helper(): pass\n"
+              "Box().read()\n")
+    reads = read_names(source)
+    assert [(line, name) for line, name in defined_names(source)
+            if name.split(".")[-1] not in reads] == [(4, "unused"), (10, "Box.dead")]
+
+
+def test_every_definition_in_src_is_read_by_src_or_perfbench():
+    reads = set()
+    for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/*.py")]:
+        reads |= read_names(path.read_text())
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted(ROOT.glob("src/geofuse/*.py"))
+             for line, name in defined_names(path.read_text())
+             if name.split(".")[-1] not in reads]
+    assert not found, "defined but never read in src/ or perfbench/:\n" + "\n".join(found)
 
 
 # the modules that read configs, flags and records; everything past them trusts

@@ -3,9 +3,9 @@ base model, zero-inference-overhead schemes, and the geometry probe."""
 import numpy as np
 import pytest
 
-from conftest import make_scenes, tiny_cfg, tiny_policy
+from conftest import grad_check, make_scenes, tiny_cfg, tiny_policy
 from geofuse.errors import ConfigError, SchemeContractError
-from geofuse.nn import cosine_rows, cross_attention, grad_check, linear
+from geofuse.nn import cosine_rows, cross_attention, linear
 from geofuse.rng import RngStream
 from geofuse.schemes import SCHEME_IDS, GateMixer
 from geofuse.tensor import ParamSet, Tensor

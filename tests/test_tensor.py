@@ -1,10 +1,13 @@
 """Numeric core: ops vs independent loop oracles, autograd vs central
 differences, and rng determinism."""
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import grad_check
 from geofuse.errors import NumericError, ShapeError
-from geofuse.nn import cosine_rows, cross_attention, grad_check, linear, mean_pool_seq, mse
+from geofuse.nn import cosine_rows, cross_attention, linear, mean_pool_seq, mse
 from geofuse.rng import RngStream
 from geofuse.tensor import ParamSet, Tensor, concat, embedding, layer_norm
 
@@ -84,6 +87,13 @@ def test_sigmoid_reference_value():
 def test_sigmoid_strictly_in_unit_interval(rng):
     y = Tensor(rng.normal((64,), 10.0)).sigmoid().data
     assert np.all(y > 0.0) and np.all(y < 1.0)
+
+
+def test_sigmoid_of_huge_logits_is_exact_and_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = Tensor(np.array([-1000.0, 0.0, 1000.0])).sigmoid().data
+    np.testing.assert_array_equal(y, [0.0, 0.5, 1.0])
 
 
 # ------------------------------------------------------------------ pooling
