@@ -158,7 +158,7 @@ class GeoEncoder:
         if any(s.n_objects != n for s in scenes):
             raise ShapeError("all scenes in a batch must share the object count")
         pos = np.stack([s.object_positions for s in scenes])  # B x n x 3
-        return Tensor(pos) @ self.w_embed.value + self.base.value[:n]
+        return linear(Tensor(pos), self.w_embed) + self.base.value[:n]
 
 
 class ActionDiT:

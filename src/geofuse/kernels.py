@@ -1,8 +1,9 @@
 """Hot inner-loop kernels: row softmax and layer norm, forward and backward.
 
 Plain numpy over 2D float64 arrays with the reduced axis last.  tensor.py
-flattens leading axes and calls these as `kernels.<name>`, so a wrapper
-installed on this module (such as the perfbench tracer) sees every call.
+(layer norm) and nn.py (attention) flatten leading axes and call these as
+`kernels.<name>`, so a wrapper installed on this module (such as the
+perfbench tracer) sees every call.
 """
 from __future__ import annotations
 

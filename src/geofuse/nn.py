@@ -2,6 +2,8 @@
 
 Everything here is a pure function of its tensor/param arguments; models
 in backbones.py are thin containers of Params that call into these.
+`linear` (the only matrix product) and `cross_attention` each build one
+graph node with a hand-written backward; the rest compose Tensor ops.
 """
 from __future__ import annotations
 
@@ -9,9 +11,10 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Param, ParamSet, Tensor, layer_norm  # noqa: F401  (re-export)
+from .tensor import Param, ParamSet, Tensor, _unbroadcast, layer_norm  # noqa: F401  (re-export)
 
 
 def _value(p) -> Tensor:
@@ -23,7 +26,15 @@ def linear(x: Tensor, w) -> Tensor:
     wt = _value(w)
     if x.shape[-1] != wt.shape[0]:
         raise ShapeError(f"linear: x {x.shape} incompatible with w {wt.shape}")
-    return x @ wt
+    return Tensor._make(x.data @ wt.data, (x, wt), lambda g: _linear_bwd(x, wt, g))
+
+
+def _linear_bwd(x: Tensor, w: Tensor, g):
+    """Accumulate the gradients of y = x @ w, for a 2-D w, into x and w."""
+    if x.requires_grad:
+        x._accum(g @ w.data.T)
+    if w.requires_grad:
+        w._accum(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
 
 
 def mean_pool_seq(h: Tensor) -> Tensor:
@@ -42,27 +53,44 @@ def expand_seq(s: Tensor, n: int) -> Tensor:
 
 
 def cross_attention(q: Tensor, kv: Tensor, wq, wk, wv, wo, heads: int) -> Tensor:
-    """Scaled-dot-product multi-head attention of q over kv.
+    """Scaled-dot-product multi-head attention of q over kv, as one node.
 
     q: B x Lq x D, kv: B x Lk x Dkv; wk/wv map Dkv -> D so the kv source
     may live in a different width than the query stream.  D is a multiple
-    of `heads`, as `ExperimentConfig` requires.
+    of `heads`, as `ExperimentConfig` requires.  The node keeps the softmax
+    probabilities P; its backward is the softmax-attention VJP (the algebra
+    of the FlashAttention backward, arXiv:2205.14135).
     """
-    d = _value(wq).shape[1]
+    wq, wk, wv, wo = (_value(w) for w in (wq, wk, wv, wo))
+    d = wq.shape[1]
     hd = d // heads
-    b, lq = q.shape[0], q.shape[1]
-    lk = kv.shape[1]
+    b, lq, lk = q.shape[0], q.shape[1], kv.shape[1]
+    scale = 1.0 / math.sqrt(hd)
 
-    def split(t, length):
-        return t.reshape(b, length, heads, hd).transpose(0, 2, 1, 3)
+    def split(x, length):  # B x L x D -> B x h x L x hd
+        return x.reshape(b, length, heads, hd).transpose(0, 2, 1, 3)
 
-    qh = split(linear(q, wq), lq)            # B x h x Lq x hd
-    kh = split(linear(kv, wk), lk)
-    vh = split(linear(kv, wv), lk)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hd))
-    attn = scores.softmax()
-    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
-    return linear(out, wo)
+    def merge(x, length):  # B x h x L x hd -> B x L x D
+        return x.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    qh = split(q.data @ wq.data, lq)
+    kh = split(kv.data @ wk.data, lk)
+    vh = split(kv.data @ wv.data, lk)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    p = kernels.softmax_fwd(scores.reshape(-1, lk)).reshape(scores.shape)
+    o = merge(p @ vh, lq)
+
+    def bwd(g):
+        if wo.requires_grad:
+            wo._accum(_unbroadcast(o.swapaxes(-1, -2) @ g, wo.data.shape))
+        do = split(g @ wo.data.T, lq)
+        dp = do @ vh.swapaxes(-1, -2)
+        ds = kernels.softmax_bwd(p.reshape(-1, lk), dp.reshape(-1, lk)).reshape(p.shape) * scale
+        _linear_bwd(q, wq, merge(ds @ kh, lq))
+        _linear_bwd(kv, wk, merge(ds.swapaxes(-1, -2) @ qh, lk))
+        _linear_bwd(kv, wv, merge(p.swapaxes(-1, -2) @ do, lk))
+
+    return Tensor._make(o @ wo.data, (q, kv, wq, wk, wv, wo), bwd)
 
 
 def mlp(x: Tensor, w1, w2) -> Tensor:

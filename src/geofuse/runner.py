@@ -123,8 +123,6 @@ def run_all(configs, jobs: int = 1) -> list[RunRecord]:
     def record(cfg):
         return run_single(cfg)[0]
 
-    if jobs == 1:
-        return [record(cfg) for cfg in configs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(record, configs))
 

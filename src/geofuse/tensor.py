@@ -7,6 +7,11 @@ surface immediately as NumericError rather than silently poisoning a
 training run.  Shapes are whatever numpy reports; broadcasting is
 supported only for the patterns actually used here (positional rows,
 pooled context tokens, per-sample scalars).
+
+Tensor keeps the elementwise ops (+, -, *, / by a scalar, sigmoid, gelu,
+sqrt), indexing, sum and mean; this module adds concat, embedding and
+layer_norm.  Matrix products live in nn.py: `linear` and `cross_attention`
+are each one graph node with a hand-written backward.
 """
 from __future__ import annotations
 
@@ -131,23 +136,6 @@ class Tensor:
         if self.requires_grad:
             self._accum(contrib)
 
-    def __matmul__(self, other):
-        other = _wrap(other)
-        a, b = self.data, other.data
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-        y = np.matmul(a, b)
-
-        def bwd(g):
-            if self.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b, -1, -2))
-                self._accum(_unbroadcast(ga, a.shape))
-            if other.requires_grad:
-                gb = np.matmul(np.swapaxes(a, -1, -2), g)
-                other._accum(_unbroadcast(gb, b.shape))
-
-        return Tensor._make(y, (self, other), bwd)
-
     def __getitem__(self, idx):
         y = self.data[idx]
 
@@ -158,25 +146,6 @@ class Tensor:
                 self._accum(full)
 
         return Tensor._make(y, (self,), bwd)
-
-    # -- shape manipulation ------------------------------------------------
-
-    def reshape(self, *shape):
-        orig = self.data.shape
-        y = self.data.reshape(shape)
-
-        def bwd(g):
-            self._maybe(g.reshape(orig))
-
-        return Tensor._make(y, (self,), bwd)
-
-    def transpose(self, *axes):
-        inv = np.argsort(axes)
-
-        def bwd(g):
-            self._maybe(g.transpose(inv))
-
-        return Tensor._make(self.data.transpose(axes), (self,), bwd)
 
     # -- reductions --------------------------------------------------------
 
@@ -234,19 +203,6 @@ class Tensor:
             self._maybe(g * 0.5 / np.maximum(y, 1e-300))
 
         return Tensor._make(y, (self,), bwd)
-
-    # -- fused row ops (kernels.py) -----------------------------------------
-
-    def softmax(self):
-        """Softmax over the last axis."""
-        shp = self.data.shape
-        y2 = kernels.softmax_fwd(self.data.reshape(-1, shp[-1]))
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accum(kernels.softmax_bwd(y2, g.reshape(-1, shp[-1])).reshape(shp))
-
-        return Tensor._make(y2.reshape(shp), (self,), bwd)
 
 
 def _wrap(x):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import grad_check
+from geofuse import kernels
 from geofuse.errors import NumericError, ShapeError
-from geofuse.nn import cosine_rows, cross_attention, linear, mean_pool_seq, mse
+from geofuse.nn import attention_params, cosine_rows, cross_attention, linear, mean_pool_seq, mse
 from geofuse.rng import RngStream
 from geofuse.tensor import ParamSet, Tensor, concat, embedding, layer_norm
 
@@ -27,6 +28,24 @@ def matmul_oracle(x, w):
                 for ki in range(k):
                     acc += x[bi, mi, ki] * w[ki, oi]
                 out[bi, mi, oi] = acc
+    return out
+
+
+def attention_oracle(q, kv, wq, wk, wv, wo, heads):
+    """Independent attention: a loop over samples and heads, each head a
+    column slice of the projections, softmax written out with exp."""
+    d = wq.shape[1]
+    hd = d // heads
+    out = np.zeros((q.shape[0], q.shape[1], d))
+    for bi in range(q.shape[0]):
+        qp, kp, vp = q[bi] @ wq, kv[bi] @ wk, kv[bi] @ wv
+        per_head = []
+        for h in range(heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            scores = qp[:, cols] @ kp[:, cols].T / np.sqrt(hd)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            per_head.append((e / e.sum(axis=1, keepdims=True)) @ vp[:, cols])
+        out[bi] = np.concatenate(per_head, axis=1) @ wo
     return out
 
 
@@ -176,8 +195,23 @@ def test_attention_matches_hand_evaluation(rng):
     np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
+@pytest.mark.parametrize("b,lq,lk,d,d_kv,heads", [
+    (3, 4, 4, 32, 32, 4),    # action-expert self-attention
+    (3, 4, 10, 32, 32, 4),   # cross-attention over a longer conditioning
+    (3, 3, 3, 32, 48, 4),    # visual_fusion: visual tokens over raw geometry
+])
+def test_attention_matches_per_head_loop_oracle(rng, b, lq, lk, d, d_kv, heads):
+    w = {k: t.data / np.sqrt(t.shape[0]) for k, t in _attn_weights(rng, d, d_kv).items()}
+    q = rng.normal((b, lq, d))
+    kv = q if lq == lk and d == d_kv else rng.normal((b, lk, d_kv))
+    got = cross_attention(Tensor(q), Tensor(kv), *(Tensor(w[k]) for k in ("wq", "wk", "wv", "wo")),
+                          heads).data
+    want = attention_oracle(q, kv, w["wq"], w["wk"], w["wv"], w["wo"], heads)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_softmax_rows_sum_to_one(rng):
-    y = Tensor(rng.normal((6, 9), 3.0)).softmax().data
+    y = kernels.softmax_fwd(rng.normal((6, 9), 3.0))
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -231,27 +265,60 @@ def test_grad_check_frozen_param_gets_no_gradient(rng):
     frozen = store.new("frozen", rng.normal((2, 2)), trainable=False)
 
     def loss():
-        return ((theta.value @ frozen.value) * (theta.value @ frozen.value)).sum()
+        y = linear(theta.value, frozen)
+        return (y * y).sum()
 
     assert grad_check(loss, store, rng.derive(0), n_coords=4) < 1e-6
     assert frozen.value.grad is None
 
 
 def test_grad_check_composite_ops(rng):
-    """Reshape/transpose/concat/embedding/softmax under one loss."""
+    """Embedding/concat/linear/attention under one loss."""
     store = ParamSet()
     table = store.new("table", rng.normal((5, 4), 0.5))
     w = store.new("w", rng.normal((4, 4), 0.5))
+    attn = attention_params(store, rng.derive(3), "attn", 4)
     idx = np.array([[0, 2, 4]])
-    target = rng.normal((1, 6, 2))
+    target = rng.normal((1, 6, 4))
 
     def loss():
         e = embedding(table.value, idx)
-        x = concat([e, e @ w.value], axis=1)
-        y = x.softmax().reshape(1, 6, 2, 2).transpose(0, 1, 3, 2).mean(axis=-1)
+        x = concat([e, linear(e, w)], axis=1)
+        y = cross_attention(x, e, attn["wq"], attn["wk"], attn["wv"], attn["wo"], 2)
         return mse(y, Tensor(target))
 
     assert grad_check(loss, store, rng.derive(1), n_coords=30) < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+def test_grad_check_linear(rng, shape):
+    store = ParamSet()
+    x = store.new("x", rng.normal(shape))
+    w = store.new("w", rng.normal((4, 3)))
+    target = rng.normal(shape[:-1] + (3,))
+
+    def loss():
+        return mse(linear(x.value, w), Tensor(target))
+
+    assert grad_check(loss, store, rng.derive(3), n_coords=30) < 1e-6
+
+
+@pytest.mark.parametrize("kv_source", ["q", "frozen"])
+def test_grad_check_attention_node(rng, kv_source):
+    """kv is q, so the node sums its q, k and v input gradients into one
+    tensor; or kv is frozen, and must get no gradient."""
+    store = ParamSet()
+    q = store.new("q", rng.normal((2, 3, 8)))
+    kv = q if kv_source == "q" else store.new("kv", rng.normal((2, 4, 6)), trainable=False)
+    attn = attention_params(store, rng.derive(4), "attn", 8, d_kv=kv.value.shape[-1])
+    target = rng.normal((2, 3, 8))
+
+    def loss():
+        y = cross_attention(q.value, kv.value, attn["wq"], attn["wk"], attn["wv"], attn["wo"], 2)
+        return mse(y, Tensor(target))
+
+    assert grad_check(loss, store, rng.derive(5), n_coords=60) < 1e-5
+    assert kv.value.requires_grad or kv.value.grad is None
 
 
 def test_grad_check_cosine_and_nonlinearities(rng):
@@ -286,11 +353,6 @@ def test_overflow_in_op_surfaces_as_numeric_error():
         _ = big * big
 
 
-def test_matmul_inner_dim_mismatch():
-    with pytest.raises(ShapeError):
-        _ = Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
-
-
 def test_backward_requires_scalar():
     with pytest.raises(ShapeError):
         Tensor(np.zeros(3), requires_grad=True).backward()
@@ -322,6 +384,6 @@ def test_rng_derive_is_stable_and_distinct():
 def test_ops_are_deterministic_given_stream(rng):
     x1 = RngStream(9, 1).normal((3, 6))
     x2 = RngStream(9, 1).normal((3, 6))
-    y1 = Tensor(x1).softmax().data
-    y2 = Tensor(x2).softmax().data
+    y1 = kernels.softmax_fwd(x1)
+    y2 = kernels.softmax_fwd(x2)
     np.testing.assert_array_equal(y1, y2)
