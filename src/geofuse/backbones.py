@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ShapeError
-from .nn import attention_params, cross_attention, init_matrix, layer_norm, linear, mlp, norm_params
+from .nn import attend, attention_params, init_matrix, linear, mlp, norm, norm_params
 from .rng import RngStream
 from .tensor import ParamSet, Tensor, concat, embedding
 
@@ -79,13 +79,12 @@ def timestep_embedding(tau, d: int) -> Tensor:
     return Tensor(_sinusoid(t, d)[:, None, :])  # B(or 1) x 1 x D
 
 
-def _batch_indices(scenes: list[SceneSpec]):
+def _object_count(scenes: list[SceneSpec]) -> int:
+    """The object count every scene of a batch shares; ShapeError if any differs."""
     n = scenes[0].n_objects
     if any(s.n_objects != n for s in scenes):
         raise ShapeError("all scenes in a batch must share the object count")
-    instr = np.array([[s.object_ids[s.instruction_id]] for s in scenes])
-    vis = np.array([s.object_ids for s in scenes])
-    return instr, vis
+    return n
 
 
 class ToyMLLM:
@@ -112,10 +111,11 @@ class ToyMLLM:
     def embed(self, scenes: list[SceneSpec]) -> Tensor:
         """B x L x D token embeddings of a scene batch, laid out as
         `visual_span` says, plus sin/cos positions for the length L."""
-        instr, vis = _batch_indices(scenes)
-        e_instr = embedding(self.tok_embed.value, instr)
-        e_vis = embedding(self.vis_embed.value, vis)
-        x = concat([e_instr, e_vis], axis=1)
+        _object_count(scenes)
+        instr = np.array([[s.object_ids[s.instruction_id]] for s in scenes])
+        vis = np.array([s.object_ids for s in scenes])
+        x = concat([embedding(self.tok_embed.value, instr),
+                    embedding(self.vis_embed.value, vis)], axis=1)
         return x + Tensor(sinusoid_table(x.shape[1], self.cfg.d))
 
     def run_layers(self, x: Tensor, mid_hook=None) -> list:
@@ -124,15 +124,9 @@ class ToyMLLM:
         per_layer = []
         h = x
         for i, blk in enumerate(self.blocks):
-            hn = layer_norm(h, blk["ln1"]["gain"].value, blk["ln1"]["bias"].value)
-            a = cross_attention(
-                hn, hn,
-                blk["attn"]["wq"], blk["attn"]["wk"], blk["attn"]["wv"], blk["attn"]["wo"],
-                self.cfg.heads,
-            )
-            h = h + a
-            h = h + mlp(layer_norm(h, blk["ln2"]["gain"].value, blk["ln2"]["bias"].value),
-                        blk["w1"], blk["w2"])
+            hn = norm(h, blk["ln1"])
+            h = h + attend(hn, hn, blk["attn"], self.cfg.heads)
+            h = h + mlp(norm(h, blk["ln2"]), blk["w1"], blk["w2"])
             if mid_hook is not None:
                 h = mid_hook(i, h)
             per_layer.append(h)
@@ -154,9 +148,7 @@ class GeoEncoder:
 
     def forward(self, scenes: list[SceneSpec]) -> Tensor:
         """Patch tokens, B x N x D_vggt: one token per object."""
-        n = scenes[0].n_objects
-        if any(s.n_objects != n for s in scenes):
-            raise ShapeError("all scenes in a batch must share the object count")
+        n = _object_count(scenes)
         pos = np.stack([s.object_positions for s in scenes])  # B x n x 3
         return linear(Tensor(pos), self.w_embed) + self.base.value[:n]
 
@@ -203,16 +195,12 @@ class ActionDiT:
         z = linear(noisy, self.in_proj) + Tensor(self.pos_table[None, :, :])
         z = z + timestep_embedding(tau, self.cfg.d)
         for i, (blk, cond) in enumerate(zip(self.blocks, conditioning)):
-            zn = layer_norm(z, blk["ln_s"]["gain"].value, blk["ln_s"]["bias"].value)
-            z = z + cross_attention(zn, zn, blk["self"]["wq"], blk["self"]["wk"],
-                                    blk["self"]["wv"], blk["self"]["wo"], self.cfg.heads)
-            zc = layer_norm(z, blk["ln_c"]["gain"].value, blk["ln_c"]["bias"].value)
-            upd = cross_attention(zc, cond, blk["cross"]["wq"], blk["cross"]["wk"],
-                                  blk["cross"]["wv"], blk["cross"]["wo"], self.cfg.heads)
+            zn = norm(z, blk["ln_s"])
+            z = z + attend(zn, zn, blk["self"], self.cfg.heads)
+            zc = norm(z, blk["ln_c"])
+            upd = attend(zc, cond, blk["cross"], self.cfg.heads)
             if geo_branch is not None:
                 upd = upd + geo_branch(i, zc)
             z = z + upd
-            z = z + mlp(layer_norm(z, blk["ln_m"]["gain"].value, blk["ln_m"]["bias"].value),
-                        blk["w1"], blk["w2"])
-        out = layer_norm(z, self.ln_out["gain"].value, self.ln_out["bias"].value)
-        return linear(out, self.out_proj)
+            z = z + mlp(norm(z, blk["ln_m"]), blk["w1"], blk["w2"])
+        return linear(norm(z, self.ln_out), self.out_proj)

@@ -4,6 +4,8 @@ Everything here is a pure function of its tensor/param arguments; models
 in backbones.py are thin containers of Params that call into these.
 `linear` (the only matrix product) and `cross_attention` each build one
 graph node with a hand-written backward; the rest compose Tensor ops.
+`attention_params` and `norm_params` build a sublayer's param dict, and
+`attend` and `norm` are the only readers of that dict's layout.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Param, ParamSet, Tensor, _unbroadcast, layer_norm  # noqa: F401  (re-export)
+from .tensor import Param, ParamSet, Tensor, _unbroadcast, layer_norm
 
 
 def _value(p) -> Tensor:
@@ -144,3 +146,12 @@ def norm_params(store: ParamSet, prefix: str, d: int):
         "bias": store.new(f"{prefix}.bias", np.zeros(d)),
     }
 
+
+def attend(q: Tensor, kv: Tensor, p: dict, heads: int) -> Tensor:
+    """`cross_attention` of q over kv with an `attention_params` dict."""
+    return cross_attention(q, kv, p["wq"], p["wk"], p["wv"], p["wo"], heads)
+
+
+def norm(x: Tensor, p: dict) -> Tensor:
+    """`layer_norm` of x with a `norm_params` dict."""
+    return layer_norm(x, p["gain"].value, p["bias"].value)

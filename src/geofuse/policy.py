@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .errors import SchemeContractError
 from .flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
 from .rng import RngStream
-from .schemes import make_scheme
+from .schemes import FusionScheme, make_scheme
 from .tensor import ParamSet, Tensor
 
 
@@ -28,13 +28,16 @@ class FusionPolicy:
         """Every component reads `cfg`; `rng` seeds every initial weight.
 
         Setting `geo_encoder = None` models a policy deployed without
-        geometry; setting `scheme.null_geo = True` nulls the scheme."""
+        geometry.  Setting `scheme.null_geo = True` nulls any scheme: every
+        pass then reads no geometry and runs the hooks of a base
+        `FusionScheme` built from the same config."""
         self.cfg = cfg
         self.store = ParamSet()
         self.mllm = ToyMLLM(cfg, self.store, rng.derive(1))
         self.geo_encoder = GeoEncoder(cfg, self.store)
         self.dit = ActionDiT(cfg, self.store, rng.derive(2))
         self.scheme = make_scheme(cfg, self.store, rng.derive(3))
+        self._base = FusionScheme(cfg, self.store, None)  # builds no params
 
     # -- parameter bookkeeping --------------------------------------------
 
@@ -45,17 +48,20 @@ class FusionPolicy:
         rest = [p for p in self.store if not p.id.startswith("mllm.")]
         return backbone, rest
 
+    def _hooks(self) -> FusionScheme:
+        """The scheme whose hooks a pass runs: the base one when nulled."""
+        return self._base if self.scheme.null_geo else self.scheme
+
     # -- geometry ----------------------------------------------------------
 
     def geo_tokens(self, scenes, training: bool, corruption=None) -> Tensor | None:
-        """B x N x D_vggt patch tokens, or None when the scheme reads none."""
-        needed = (self.scheme.training_geo_required if training
-                  else self.scheme.inference_geo_required)
-        if not needed:
+        """B x N x D_vggt patch tokens, or None when the hooks read none."""
+        hooks = self._hooks()
+        if not (hooks.training_geo_required if training else hooks.inference_geo_required):
             return None
         if self.geo_encoder is None:
             raise SchemeContractError(
-                f"scheme {self.scheme.id!r} needs geometric features but the "
+                f"scheme {hooks.id!r} needs geometric features but the "
                 "policy was built without a geometric encoder"
             )
         geo = self.geo_encoder.forward(scenes)
@@ -69,9 +75,10 @@ class FusionPolicy:
         """Run backbone + scheme hooks; returns (one conditioning Tensor per
         action block, the scheme's geo_branch closure or None, every backbone
         layer's output)."""
-        emb = self.scheme.modify_input(self.mllm.embed(scenes), geo)
-        per_layer = self.mllm.run_layers(emb, self.scheme.mid_hook(geo))
-        return self.scheme.conditioning(per_layer, geo), self.scheme.geo_branch(geo), per_layer
+        hooks = self._hooks()
+        emb = hooks.modify_input(self.mllm.embed(scenes), geo)
+        per_layer = self.mllm.run_layers(emb, hooks.mid_hook(geo))
+        return hooks.conditioning(per_layer, geo), hooks.geo_branch(geo), per_layer
 
     # -- training objective ------------------------------------------------
 
@@ -87,7 +94,7 @@ class FusionPolicy:
         action_loss = fm_loss(v_pred, v_target)
         parts = {"action": action_loss.item()}
         total = action_loss
-        aux = self.scheme.aux_loss(per_layer, geo)
+        aux = self._hooks().aux_loss(per_layer, geo)
         if aux is not None:
             weight, term = aux
             parts["align"] = term.item()

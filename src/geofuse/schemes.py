@@ -9,9 +9,11 @@ Tensors: the geometry as one B x N x D_vggt Tensor (or None when the
 scheme reads none), the backbone input as one B x L x D Tensor and its
 output as a list of every layer's B x L x D Tensor.  They return Tensors
 or closures over their own parameters, so neither the backbone nor the
-action expert knows any scheme's parameters.  Every scheme documents a
-parameter setting under which the policy collapses exactly to the base
-model (`null_geo`, a zeroed branch projection, or a zero adapter scale).
+action expert knows any scheme's parameters.  Nulling any scheme (the
+flag on `FusionScheme`) makes `FusionPolicy` run the base model's hooks
+instead, so no hook checks it.  `ae_fusion` (zeroed `wo` in every branch)
+and `midlayer_injection` (adapter scale `alpha = 0`, as built) also reach
+the base model through their parameters.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from .gating import (
     sigmoid_gate,
     sparse_layer_schedule,
 )
-from .nn import (attention_params, cosine_rows, cross_attention, expand_seq, init_matrix,
-                 layer_norm, linear, mean_pool_seq, norm_params)
+from .nn import (attend, attention_params, cosine_rows, expand_seq, init_matrix, linear,
+                 mean_pool_seq, mlp, norm, norm_params)
 from .tensor import ParamSet, Tensor, concat
 
 _REGISTRY: dict[str, type] = {}
@@ -53,7 +55,7 @@ class FusionScheme:
     id = "none"
     inference_geo_required = False
     training_geo_required = False
-    null_geo = False  # set on an instance to collapse it to the base model
+    null_geo = False  # set on an instance: FusionPolicy then runs the base hooks
 
     def __init__(self, cfg: ExperimentConfig, store, rng):
         self.cfg = cfg
@@ -139,9 +141,7 @@ class AEFusion(FusionScheme):
         f_geo = linear(geo, self.w_proj)
 
         def branch(i, zc):
-            p = self.block_params[i]
-            return cross_attention(zc, f_geo, p["wq"], p["wk"], p["wv"], p["wo"],
-                                   self.cfg.heads)
+            return attend(zc, f_geo, self.block_params[i], self.cfg.heads)
 
         return branch
 
@@ -159,8 +159,6 @@ class EarlyFusion(FusionScheme):
                                 init_matrix(rng, self.cfg.d_vggt, self.cfg.d))
 
     def modify_input(self, emb, geo):
-        if self.null_geo:
-            return emb
         return concat([emb, linear(geo, self.w_proj)], axis=1)
 
 
@@ -182,8 +180,6 @@ class ConcatFusion(FusionScheme):
         return f_geo
 
     def conditioning(self, per_layer, geo):
-        if self.null_geo:
-            return super().conditioning(per_layer, geo)
         f_geo = self.mixer(geo, mean_pool_seq(geo))  # once: it reads no backbone layer
         return self._per_block(per_layer,
                                lambda h: build_conditioning(h, self._refine(f_geo, h)))
@@ -200,8 +196,7 @@ class CrossAttnFusion(ConcatFusion):
         self.attn = attention_params(store, rng, "scheme.crossattn.attn", self.cfg.d)
 
     def _refine(self, f_geo, h):
-        return cross_attention(f_geo, h, self.attn["wq"], self.attn["wk"],
-                               self.attn["wv"], self.attn["wo"], self.cfg.heads) + f_geo
+        return attend(f_geo, h, self.attn, self.cfg.heads) + f_geo
 
 
 @register
@@ -227,8 +222,6 @@ class GatedFusion(FusionScheme):
         self.schedule = sparse_layer_schedule(n, self.cfg.sparse_k)
 
     def conditioning(self, per_layer, geo):
-        if self.null_geo:
-            return super().conditioning(per_layer, geo)
         n = self.cfg.n_dit_layers
         if self.cfg.arch == "pi":
             return layerwise_fuse(per_layer[-n:], geo, self.w_proj, self.gates, self.schedule)
@@ -250,15 +243,10 @@ class ThreeDTokens(FusionScheme):
         self.w_proj = store.new("scheme.tok3d.w_proj", init_matrix(rng, dv, d))
 
     def modify_input(self, emb, geo):
-        if self.null_geo:
-            return emb
-        b = emb.shape[0]
-        tok = self.token.value * Tensor(np.ones((b, 1, 1)))
+        tok = self.token.value * Tensor(np.ones((emb.shape[0], 1, 1)))
         return concat([emb, tok], axis=1)
 
     def aux_loss(self, per_layer, geo):
-        if self.null_geo:
-            return None
         h_tok = per_layer[-1][:, -1, :]  # the appended special token's state
         pooled = geo.mean(axis=1)
         cos = cosine_rows(linear(h_tok, self.w_align), linear(pooled, self.w_proj))
@@ -290,9 +278,7 @@ class MidLayerInjection(FusionScheme):
         def hook(i, h):
             if i != self.k:
                 return h
-            hn = layer_norm(h, self.ln["gain"].value, self.ln["bias"].value)
-            upd = cross_attention(hn, f_geo, self.attn["wq"], self.attn["wk"],
-                                  self.attn["wv"], self.attn["wo"], self.cfg.heads)
+            upd = attend(norm(h, self.ln), f_geo, self.attn, self.cfg.heads)
             return h + self.alpha.value * upd
 
         return hook
@@ -318,13 +304,9 @@ class SpatialForcing(FusionScheme):
         self.e_pos = sinusoid_table(self.cfg.n_patches, dv)
 
     def aux_loss(self, per_layer, geo):
-        if self.null_geo:
-            return None
         n = geo.shape[1]
         lo, hi = visual_span(n)
-        h_vis = per_layer[self.k][:, lo:hi, :]
-        proj = linear(linear(layer_norm(h_vis, self.ln["gain"].value,
-                                        self.ln["bias"].value), self.w1).gelu(), self.w2)
+        proj = mlp(norm(per_layer[self.k][:, lo:hi, :], self.ln), self.w1, self.w2)
         target = Tensor(geo.data + self.e_pos[:n])
         cos = cosine_rows(proj, target)
         return self.cfg.forcing_weight, -cos.mean()
@@ -344,14 +326,7 @@ class VisualFusion(FusionScheme):
         self.ln = norm_params(store, "scheme.vf.ln", d)
 
     def modify_input(self, emb, geo):
-        if self.null_geo:
-            return emb
-        lo, hi = visual_span(geo.shape[1])
+        lo, hi = visual_span(geo.shape[1])  # hi is L: emb is `ToyMLLM.embed`'s output
         t2d = emb[:, lo:hi, :]
-        upd = cross_attention(t2d, geo, self.attn["wq"], self.attn["wk"],
-                              self.attn["wv"], self.attn["wo"], self.cfg.heads)
-        enriched = layer_norm(t2d + upd, self.ln["gain"].value, self.ln["bias"].value)
-        parts = [emb[:, :lo, :], enriched]
-        if hi < emb.shape[1]:
-            parts.append(emb[:, hi:, :])
-        return concat(parts, axis=1)
+        enriched = norm(t2d + attend(t2d, geo, self.attn, self.cfg.heads), self.ln)
+        return concat([emb[:, :lo, :], enriched], axis=1)

@@ -154,6 +154,16 @@ def test_geo_frozen_params_take_no_grad(rng):
     assert geo.w_embed.value.grad is None
 
 
+def test_mixed_object_counts_raise_in_backbone_and_geo_encoder(rng):
+    scenes = (make_scenes(rng.derive(0), 2, n_objects=2)
+              + make_scenes(rng.derive(1), 1, n_objects=3))
+    mllm, _ = build_mllm(rng.derive(2))
+    geo, _ = build_geo()
+    for fn in (mllm.embed, geo.forward):
+        with pytest.raises(ShapeError, match="share the object count"):
+            fn(scenes)
+
+
 def test_geo_capacity_error():
     """More objects than patch slots is refused by the config, before any
     encoder is built."""

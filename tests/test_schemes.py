@@ -120,6 +120,30 @@ def test_nullability_reproduces_base_model(sid, scenes):
     np.testing.assert_array_equal(predict(base, scenes), predict(nulled, scenes))
 
 
+def loss_and_parts(policy, scenes):
+    actions = RngStream(21, 0).normal((len(scenes), policy.cfg.horizon, policy.cfg.d_action))
+    total, parts = policy.loss(scenes, actions, RngStream(22, 0))
+    return total.data, parts
+
+
+@pytest.mark.parametrize("arch", ["groot", "pi"])
+@pytest.mark.parametrize("sid,alpha", [(sid, None) for sid in SCHEME_IDS]
+                         + [("midlayer_injection", 0.5)])
+def test_null_geo_gives_base_loss_and_predict(sid, alpha, arch, scenes):
+    """`null_geo` alone nulls a scheme whatever its parameters hold, a
+    nonzero adapter scale included."""
+    base = tiny_policy("none", arch)
+    nulled = tiny_policy(sid, arch)
+    if alpha is not None:
+        nulled.scheme.alpha.value.data[...] = alpha
+    nulled.scheme.null_geo = True
+    base_loss, base_parts = loss_and_parts(base, scenes)
+    loss, parts = loss_and_parts(nulled, scenes)
+    assert parts == base_parts
+    np.testing.assert_array_equal(loss, base_loss)
+    np.testing.assert_array_equal(predict(nulled, scenes), predict(base, scenes))
+
+
 # ------------------------------------------------------------------ zero-overhead schemes
 
 @pytest.mark.parametrize("sid", ["spatial_forcing", "threed_tokens"])
