@@ -1,5 +1,9 @@
-"""Toy stand-ins for the three neural components of the policy.
+"""Toy stand-ins for the three neural components of the policy, and the
+scene batch they read.
 
+- Scenes: B scenes as three arrays, object positions (B x n x 3), object
+  ids (B x n) and instruction indices (B), so every scene of a batch has
+  the same object count by construction.  Indexing gives a sub-batch.
 - ToyMLLM: a small pre-LN transformer over instruction + per-object visual
   tokens, in the layout `visual_span` names.  Visual tokens reveal object
   identity only; object *positions* are deliberately withheld from this
@@ -31,25 +35,23 @@ MLP_RATIO = 4  # hidden width of every transformer MLP, in multiples of d
 
 
 @dataclass
-class SceneSpec:
-    """Objects on a unit-cube tabletop plus an instruction picking one."""
+class Scenes:
+    """A batch of B scenes on a unit-cube tabletop, each with the same n
+    objects and an instruction picking one of them."""
 
-    object_positions: np.ndarray  # (n, 3) in [0, 1]^3
-    object_ids: list[int]
-    instruction_id: int  # index into object list
+    positions: np.ndarray  # B x n x 3, in [0, 1]^3
+    object_ids: np.ndarray  # B x n
+    instruction: np.ndarray  # B, an index into each scene's objects
 
-    def __post_init__(self):
-        self.object_positions = np.asarray(self.object_positions, dtype=np.float64)
-        if self.object_positions.ndim != 2 or self.object_positions.shape[1] != 3:
-            raise ShapeError(f"object_positions must be (n, 3), got {self.object_positions.shape}")
+    def __len__(self) -> int:
+        return len(self.instruction)
 
-    @property
-    def n_objects(self) -> int:
-        return len(self.object_ids)
+    def __getitem__(self, idx) -> "Scenes":
+        return Scenes(self.positions[idx], self.object_ids[idx], self.instruction[idx])
 
-    @property
-    def target_position(self) -> np.ndarray:
-        return self.object_positions[self.instruction_id]
+    def target_positions(self) -> np.ndarray:
+        """B x 3: the position of each scene's instructed object."""
+        return self.positions[np.arange(len(self)), self.instruction]
 
 
 def visual_span(n_visual: int) -> tuple[int, int]:
@@ -79,14 +81,6 @@ def timestep_embedding(tau, d: int) -> Tensor:
     return Tensor(_sinusoid(t, d)[:, None, :])  # B(or 1) x 1 x D
 
 
-def _object_count(scenes: list[SceneSpec]) -> int:
-    """The object count every scene of a batch shares; ShapeError if any differs."""
-    n = scenes[0].n_objects
-    if any(s.n_objects != n for s in scenes):
-        raise ShapeError("all scenes in a batch must share the object count")
-    return n
-
-
 class ToyMLLM:
     """Minimal pre-LN transformer exposing every layer's hidden states."""
 
@@ -108,14 +102,12 @@ class ToyMLLM:
                 }
             )
 
-    def embed(self, scenes: list[SceneSpec]) -> Tensor:
+    def embed(self, scenes: Scenes) -> Tensor:
         """B x L x D token embeddings of a scene batch, laid out as
         `visual_span` says, plus sin/cos positions for the length L."""
-        _object_count(scenes)
-        instr = np.array([[s.object_ids[s.instruction_id]] for s in scenes])
-        vis = np.array([s.object_ids for s in scenes])
+        instr = np.take_along_axis(scenes.object_ids, scenes.instruction[:, None], axis=1)
         x = concat([embedding(self.tok_embed.value, instr),
-                    embedding(self.vis_embed.value, vis)], axis=1)
+                    embedding(self.vis_embed.value, scenes.object_ids)], axis=1)
         return x + Tensor(sinusoid_table(x.shape[1], self.cfg.d))
 
     def run_layers(self, x: Tensor, mid_hook=None) -> list:
@@ -146,11 +138,10 @@ class GeoEncoder:
         self.w_embed = store.new("geo.w_embed", w, trainable=not cfg.freeze_geo)
         self.base = store.new("geo.base", base, trainable=not cfg.freeze_geo)
 
-    def forward(self, scenes: list[SceneSpec]) -> Tensor:
+    def forward(self, scenes: Scenes) -> Tensor:
         """Patch tokens, B x N x D_vggt: one token per object."""
-        n = _object_count(scenes)
-        pos = np.stack([s.object_positions for s in scenes])  # B x n x 3
-        return linear(Tensor(pos), self.w_embed) + self.base.value[:n]
+        n = scenes.positions.shape[1]
+        return linear(Tensor(scenes.positions), self.w_embed) + self.base.value[:n]
 
 
 class ActionDiT:

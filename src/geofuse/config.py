@@ -31,6 +31,8 @@ SCHEME_IDS = (
 OBJECT_ID_POOL = 16  # object ids are drawn without replacement from range(16)
 ARCHS = ("groot", "pi")
 CORRUPTIONS = ("none", "zeros", "gaussian")
+# fields that training never reads, so configs differing only in them share a trained policy
+EVAL_ONLY_FIELDS = ("corruption", "corruption_sigma", "eval_episodes", "euler_steps")
 
 _TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 

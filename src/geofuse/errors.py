@@ -13,21 +13,13 @@ class ShapeError(GeofuseError):
 
 
 class NumericError(GeofuseError):
-    """A tensor or an Euler state picked up NaN/Inf, or sqrt met a negative."""
+    """A tensor or an Euler state picked up NaN/Inf.  A diverging training
+    run and sqrt of a negative both end here, as a non-finite tensor."""
 
 
 class ConfigError(GeofuseError):
     """Invalid configuration value or malformed config file."""
 
 
-class SchemeContractError(GeofuseError):
-    """A fusion scheme was used outside its contract (e.g. missing geometry)."""
-
-
 class CheckpointError(GeofuseError):
     """Checkpoint file is malformed, truncated, or from another version."""
-
-
-class TrainingError(GeofuseError):
-    """Training diverged (non-finite loss); message carries the step index.
-    Each Tensor's finiteness check raises NumericError before it can fire."""

@@ -16,7 +16,6 @@ import numpy as np
 
 from .backbones import ActionDiT, GeoEncoder, ToyMLLM
 from .config import ExperimentConfig
-from .errors import SchemeContractError
 from .flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
 from .rng import RngStream
 from .schemes import FusionScheme, make_scheme
@@ -28,9 +27,10 @@ class FusionPolicy:
         """Every component reads `cfg`; `rng` seeds every initial weight.
 
         Setting `geo_encoder = None` models a policy deployed without
-        geometry.  Setting `scheme.null_geo = True` nulls any scheme: every
-        pass then reads no geometry and runs the hooks of a base
-        `FusionScheme` built from the same config."""
+        geometry: a pass whose hooks read none runs as before, and any
+        other pass fails.  Setting `scheme.null_geo = True` nulls any
+        scheme: every pass then reads no geometry and runs the hooks of a
+        base `FusionScheme` built from the same config."""
         self.cfg = cfg
         self.store = ParamSet()
         self.mllm = ToyMLLM(cfg, self.store, rng.derive(1))
@@ -59,11 +59,6 @@ class FusionPolicy:
         hooks = self._hooks()
         if not (hooks.training_geo_required if training else hooks.inference_geo_required):
             return None
-        if self.geo_encoder is None:
-            raise SchemeContractError(
-                f"scheme {hooks.id!r} needs geometric features but the "
-                "policy was built without a geometric encoder"
-            )
         geo = self.geo_encoder.forward(scenes)
         if corruption is not None:
             geo = Tensor(corruption(geo.data))

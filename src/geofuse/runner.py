@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .bench import dataset_hash, evaluate_policy, make_dataset, train_policy
-from .config import CORRUPTIONS, SCHEME_IDS, ExperimentConfig
+from .config import CORRUPTIONS, EVAL_ONLY_FIELDS, SCHEME_IDS, ExperimentConfig
 from .errors import ConfigError
 from .policy import FusionPolicy
 from .rng import RngStream
@@ -26,9 +26,9 @@ def build_policy(cfg: ExperimentConfig) -> FusionPolicy:
 
 
 def build_datasets(cfg: ExperimentConfig):
-    """(train, eval) episode lists for a config."""
+    """(train, eval) datasets for a config, each a (scenes, targets) pair."""
     train = make_dataset(RngStream(cfg.seed, _STREAM_DATA).derive(0), cfg.dataset_size,
-                         cfg.n_objects, cfg.horizon, cfg.d_action, split="train")
+                         cfg.n_objects, cfg.horizon, cfg.d_action)
     return train, build_eval_dataset(cfg)
 
 
@@ -36,12 +36,12 @@ def build_eval_dataset(cfg: ExperimentConfig):
     """The eval split alone, drawn from the same stream `build_datasets` uses,
     so a saved checkpoint can be re-scored on exactly its record's episodes."""
     return make_dataset(RngStream(cfg.seed, _STREAM_DATA).derive(1), cfg.eval_episodes,
-                        cfg.n_objects, cfg.horizon, cfg.d_action, split="eval")
+                        cfg.n_objects, cfg.horizon, cfg.d_action)
 
 
-def evaluate_config(policy: FusionPolicy, cfg: ExperimentConfig, episodes):
-    """Score `policy` on `episodes` with the config's eval stream and corruption."""
-    return evaluate_policy(policy, episodes, RngStream(cfg.seed, _STREAM_EVAL), cfg)
+def evaluate_config(policy: FusionPolicy, cfg: ExperimentConfig, dataset):
+    """Score `policy` on `dataset` with the config's eval stream and corruption."""
+    return evaluate_policy(policy, dataset, RngStream(cfg.seed, _STREAM_EVAL), cfg)
 
 
 @dataclass
@@ -81,18 +81,24 @@ class RunRecord:
 def run_single(cfg: ExperimentConfig) -> tuple[RunRecord, FusionPolicy]:
     """Train and evaluate one configuration; returns its record and trained policy."""
     policy = build_policy(cfg)
-    train_eps, eval_eps = build_datasets(cfg)
-    curve = train_policy(policy, train_eps, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
-    metrics = evaluate_config(policy, cfg, eval_eps)
-    record = RunRecord(
+    train, eval_set = build_datasets(cfg)
+    curve = train_policy(policy, train, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
+    return _scored(policy, cfg, eval_set, curve, dataset_hash(train)), policy
+
+
+def _scored(policy: FusionPolicy, cfg: ExperimentConfig, eval_set, curve,
+            train_hash: str) -> RunRecord:
+    """The record of `policy`, trained with loss `curve` on the set hashed
+    `train_hash`, scored on `eval_set` as `cfg` says."""
+    metrics = evaluate_config(policy, cfg, eval_set)
+    return RunRecord(
         config=cfg.to_dict(),
         metrics={TASK_NAME: {"success_rate": metrics.success_rate,
                              "mean_l2_error": metrics.mean_l2_error,
                              "n_episodes": metrics.n_episodes}},
         loss_curve=curve,
-        dataset_hash=dataset_hash(train_eps),
+        dataset_hash=train_hash,
     )
-    return record, policy
 
 
 # A sweep maps a base config to the configs it runs.  Each differs from the
@@ -112,19 +118,33 @@ ABLATIONS = {
 
 def run_all(configs, jobs: int = 1) -> list[RunRecord]:
     """The records of `run_single` over configs, in order, on up to `jobs`
-    threads.  No trained policy outlives its run.
+    threads.  Configs that differ only in `EVAL_ONLY_FIELDS` share one
+    training: `run_single` runs the first of them, and its trained policy
+    is scored again under each of the others.  No trained policy outlives
+    its group.
 
     Threads, not processes: runs share one interpreter, so anything patched
     on the package (timers, tracers) sees every run.  `run_single` is looked
     up at call time for the same reason."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    groups = {}  # the fields training reads -> indices into configs
+    for i, cfg in enumerate(configs):
+        key = tuple((k, v) for k, v in cfg.to_dict().items() if k not in EVAL_ONLY_FIELDS)
+        groups.setdefault(key, []).append(i)
+    records = [None] * len(configs)
 
-    def record(cfg):
-        return run_single(cfg)[0]
+    def run_group(group):
+        first, policy = run_single(configs[group[0]])
+        records[group[0]] = first
+        for i in group[1:]:
+            policy.cfg = configs[i]  # `predict` reads euler_steps from the policy's config
+            records[i] = _scored(policy, configs[i], build_eval_dataset(configs[i]),
+                                 first.loss_curve, first.dataset_hash)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(record, configs))
+        list(pool.map(run_group, groups.values()))
+    return records
 
 
 # ------------------------------------------------------------------ tables

@@ -195,8 +195,6 @@ class Tensor:
         return Tensor._make(y, (self,), bwd)
 
     def sqrt(self):
-        if np.any(self.data < 0):
-            raise NumericError("sqrt of negative value")
         y = np.sqrt(self.data)
 
         def bwd(g):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geofuse.backbones import SceneSpec
+from geofuse.backbones import Scenes
 from geofuse.config import ExperimentConfig
 from geofuse.errors import NumericError
 from geofuse.policy import FusionPolicy
@@ -39,13 +39,17 @@ def tiny_policy(scheme, arch="groot"):
 
 
 def make_scenes(rng: RngStream, n_scenes: int, n_objects: int = 2, id_pool: int = 12):
-    scenes = []
-    for _ in range(n_scenes):
-        pos = rng.uniform((n_objects, 3))
-        ids = [int(i) for i in rng.generator.choice(id_pool, size=n_objects, replace=False)]
-        instr = int(rng.integers(0, n_objects))
-        scenes.append(SceneSpec(pos, ids, instr))
-    return scenes
+    """A `Scenes` batch; scene by scene, positions, ids, then the instruction."""
+    draws = [(rng.uniform((n_objects, 3)),
+              rng.generator.choice(id_pool, size=n_objects, replace=False),
+              rng.integers(0, n_objects)) for _ in range(n_scenes)]
+    pos, ids, instr = zip(*draws)
+    return Scenes(np.stack(pos), np.stack(ids), np.array(instr))
+
+
+def one_scene(positions, ids, instruction):
+    """A `Scenes` batch of one scene."""
+    return Scenes(np.array([positions], dtype=float), np.array([ids]), np.array([instruction]))
 
 
 def rows_from_csv(name):

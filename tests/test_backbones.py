@@ -4,12 +4,11 @@ conditioning."""
 import numpy as np
 import pytest
 
-from conftest import grad_check, make_scenes, tiny_cfg
+from conftest import grad_check, make_scenes, one_scene, tiny_cfg
 from geofuse import backbones
 from geofuse.backbones import (
     ActionDiT,
     GeoEncoder,
-    SceneSpec,
     ToyMLLM,
     sinusoid_table,
     timestep_embedding,
@@ -33,9 +32,14 @@ def build_geo(**kw):
 
 # ------------------------------------------------------------------ scenes
 
-def test_scene_rejects_positions_not_n_by_3():
-    with pytest.raises(ShapeError):
-        SceneSpec(np.array([0.5, 0.5, 0.5]), [3], 0)
+def test_scenes_index_to_a_sub_batch(rng):
+    scenes = make_scenes(rng, 5, n_objects=3)
+    sub = scenes[np.array([4, 1, 1])]
+    assert len(scenes) == 5 and len(sub) == 3
+    np.testing.assert_array_equal(sub.positions, scenes.positions[[4, 1, 1]])
+    np.testing.assert_array_equal(sub.object_ids, scenes.object_ids[[4, 1, 1]])
+    np.testing.assert_array_equal(sub.instruction, scenes.instruction[[4, 1, 1]])
+    assert len(scenes[1:3]) == 2
 
 
 # ------------------------------------------------------------------ mllm
@@ -57,9 +61,9 @@ def test_mllm_is_invariant_to_object_positions(rng):
     """The constructed ambiguity: the semantic channel must not see geometry."""
     mllm, _ = build_mllm(rng)
     ids, instr = [4, 9], 1
-    a = SceneSpec(np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]]), ids, instr)
-    b = SceneSpec(np.array([[0.6, 0.6, 0.6], [0.2, 0.1, 0.9]]), ids, instr)
-    for ha, hb in zip(run_mllm(mllm, [a]), run_mllm(mllm, [b])):
+    a = one_scene([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]], ids, instr)
+    b = one_scene([[0.6, 0.6, 0.6], [0.2, 0.1, 0.9]], ids, instr)
+    for ha, hb in zip(run_mllm(mllm, a), run_mllm(mllm, b)):
         np.testing.assert_array_equal(ha.data, hb.data)
 
 
@@ -93,8 +97,8 @@ def test_mllm_positions_fit_any_sequence_length(rng):
     for n in (1, 2, 8):
         scenes = make_scenes(rng.derive(n), 2, n_objects=n)
         x = mllm.embed(scenes).data
-        ids = np.array([s.object_ids for s in scenes])
-        instr = np.array([s.object_ids[s.instruction_id] for s in scenes])
+        ids = scenes.object_ids
+        instr = ids[np.arange(2), scenes.instruction]
         want = np.concatenate([mllm.tok_embed.value.data[instr][:, None, :],
                                mllm.vis_embed.value.data[ids]], axis=1)
         np.testing.assert_array_equal(x, want + sinusoid_table(64, mllm.cfg.d)[: n + 1])
@@ -107,7 +111,7 @@ def test_mllm_visual_slice_selects_visual_tokens(rng):
     x = mllm.embed(scenes)
     lo, hi = visual_span(2)
     assert (lo, hi) == (1, 3) and hi == x.shape[1]
-    ids = np.array([s.object_ids for s in scenes])
+    ids = scenes.object_ids
     pos = sinusoid_table(hi, mllm.cfg.d)[lo:hi]
     np.testing.assert_array_equal(x.data[:, lo:hi, :], mllm.vis_embed.value.data[ids] + pos)
     assert run_mllm(mllm, scenes)[0][:, lo:hi, :].shape == (2, 2, mllm.cfg.d)
@@ -121,16 +125,16 @@ def test_geo_decode_roundtrip(rng):
     tokens = geo.forward(scenes).data
     # tokens are affine in the positions, so the pseudo-inverse recovers them
     decoded = (tokens - geo.base.value.data[:3]) @ np.linalg.pinv(geo.w_embed.value.data)
-    want = np.stack([s.object_positions for s in scenes])
+    want = scenes.positions
     assert np.max(np.abs(decoded - want)) < 1e-10
 
 
 def test_geo_translation_locality():
     geo, _ = build_geo()
-    base = SceneSpec(np.array([[0.2, 0.2, 0.2], [0.7, 0.7, 0.7]]), [1, 2], 0)
-    moved = SceneSpec(np.array([[0.2, 0.2, 0.2], [0.7, 0.9, 0.7]]), [1, 2], 0)
-    t0 = geo.forward([base]).data[0]
-    t1 = geo.forward([moved]).data[0]
+    base = one_scene([[0.2, 0.2, 0.2], [0.7, 0.7, 0.7]], [1, 2], 0)
+    moved = one_scene([[0.2, 0.2, 0.2], [0.7, 0.9, 0.7]], [1, 2], 0)
+    t0 = geo.forward(base).data[0]
+    t1 = geo.forward(moved).data[0]
     np.testing.assert_array_equal(t0[0], t1[0])
     assert np.max(np.abs(t0[1] - t1[1])) > 0
 
@@ -152,16 +156,6 @@ def test_geo_frozen_params_take_no_grad(rng):
 
     assert grad_check(loss, store, rng.derive(0), n_coords=4) == 0.0
     assert geo.w_embed.value.grad is None
-
-
-def test_mixed_object_counts_raise_in_backbone_and_geo_encoder(rng):
-    scenes = (make_scenes(rng.derive(0), 2, n_objects=2)
-              + make_scenes(rng.derive(1), 1, n_objects=3))
-    mllm, _ = build_mllm(rng.derive(2))
-    geo, _ = build_geo()
-    for fn in (mllm.embed, geo.forward):
-        with pytest.raises(ShapeError, match="share the object count"):
-            fn(scenes)
 
 
 def test_geo_capacity_error():

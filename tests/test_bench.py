@@ -1,19 +1,20 @@
 """Benchmark: episode generation, expert chunks vs the golden fixture,
 the dataset hash, corruption modes, and a short training smoke run."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, tiny_cfg
-from geofuse.backbones import SceneSpec
+from conftest import DATA_DIR, one_scene, tiny_cfg
+from geofuse.backbones import Scenes
 from geofuse.bench import (
     HOME_POSE,
     SUCCESS_EPS,
     corrupt_geo,
     dataset_hash,
     evaluate_policy,
-    generate_episode,
     make_dataset,
-    target_action,
+    target_actions,
     train_policy,
 )
 from geofuse.config import ExperimentConfig
@@ -27,55 +28,62 @@ CHUNK = (4, 7)  # horizon, d_action: the default config's, and the golden fixtur
 
 # ------------------------------------------------------------------ episodes
 
-def test_generate_episode_deterministic():
-    a = generate_episode(RngStream(3, 1), 2, *CHUNK)
-    b = generate_episode(RngStream(3, 1), 2, *CHUNK)
-    np.testing.assert_array_equal(a.scene.object_positions, b.scene.object_positions)
-    assert a.scene.object_ids == b.scene.object_ids
-    assert a.scene.instruction_id == b.scene.instruction_id
-    np.testing.assert_array_equal(a.target, b.target)
+def test_generate_episode_deterministic(rng):
+    """Episode i draws its positions, ids, then its instruction from
+    rng.derive(i), so a dataset is a function of its stream, and growing it
+    leaves its first episodes (and their hash lines) as they were."""
+    scenes, _ = make_dataset(rng, 6, 3, *CHUNK)
+    for i in range(6):
+        r = rng.derive(i)
+        np.testing.assert_array_equal(scenes.positions[i], r.uniform((3, 3)))
+        np.testing.assert_array_equal(scenes.object_ids[i], r.generator.choice(16, 3, replace=False))
+        assert scenes.instruction[i] == r.integers(0, 3)
 
 
 def test_generate_episode_support_and_validity(rng):
-    for i in range(50):
-        ep = generate_episode(rng.derive(i), 3, *CHUNK)
-        pos = ep.scene.object_positions
-        assert np.all((pos >= 0) & (pos <= 1))
-        assert 0 <= ep.scene.instruction_id < 3
-        assert len(set(ep.scene.object_ids)) == 3
-        np.testing.assert_array_equal(ep.target, target_action(ep.scene, *CHUNK))
+    scenes, targets = make_dataset(rng, 50, 3, *CHUNK)
+    assert scenes.positions.shape == (50, 3, 3) and targets.shape == (50, *CHUNK)
+    assert np.all((scenes.positions >= 0) & (scenes.positions <= 1))
+    assert np.all((scenes.instruction >= 0) & (scenes.instruction < 3))
+    assert all(len(set(row)) == 3 for row in scenes.object_ids)
+    for i in range(50):  # the expert chunk, built one episode at a time
+        want = np.zeros(CHUNK)
+        want[:, :3] = (scenes.positions[i, scenes.instruction[i]] - HOME_POSE) / CHUNK[0]
+        want[-1, -1] = 1.0
+        np.testing.assert_array_equal(targets[i], want)
 
 
 # ------------------------------------------------------------------ expert chunks
 
 def test_target_action_zero_reach():
-    scene = SceneSpec(HOME_POSE[None, :], [3], 0)
-    chunk = target_action(scene, *CHUNK)
+    chunk = target_actions(one_scene(HOME_POSE[None, :], [3], 0), *CHUNK)[0]
     np.testing.assert_array_equal(chunk[:, :6], 0.0)
     assert chunk[-1, 6] == 1.0
 
 
 def test_target_action_linearity():
-    near = SceneSpec(np.array([[0.2, 0.1, 0.3]]), [3], 0)
-    far = SceneSpec(np.array([[0.4, 0.2, 0.6]]), [3], 0)
-    np.testing.assert_allclose(target_action(far, *CHUNK)[:, :3],
-                               2 * target_action(near, *CHUNK)[:, :3], atol=1e-15)
+    near = one_scene([[0.2, 0.1, 0.3]], [3], 0)
+    far = one_scene([[0.4, 0.2, 0.6]], [3], 0)
+    np.testing.assert_allclose(target_actions(far, *CHUNK)[:, :, :3],
+                               2 * target_actions(near, *CHUNK)[:, :, :3], atol=1e-15)
 
 
 def test_target_action_matches_golden_fixture():
-    scene = SceneSpec(np.array([[0.5, 0.5, 0.5]]), [3], 0)
+    scene = one_scene([[0.5, 0.5, 0.5]], [3], 0)
     rows = [
         [float(v) for v in line.split()]
         for line in (DATA_DIR / "golden_reach_chunk.txt").read_text().splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    np.testing.assert_array_equal(target_action(scene, *CHUNK), np.array(rows))
+    np.testing.assert_array_equal(target_actions(scene, *CHUNK)[0], np.array(rows))
 
 
 def test_target_action_reaches_instructed_object():
-    scene = SceneSpec(np.array([[0.9, 0.1, 0.4], [0.2, 0.8, 0.6]]), [1, 2], 1)
-    chunk = target_action(scene, *CHUNK)
-    np.testing.assert_allclose(chunk[:, :3].sum(axis=0), [0.2, 0.8, 0.6], atol=1e-15)
+    scenes = Scenes(np.array([[[0.9, 0.1, 0.4], [0.2, 0.8, 0.6]]] * 2), np.array([[1, 2]] * 2),
+                    np.array([1, 0]))
+    chunks = target_actions(scenes, *CHUNK)
+    np.testing.assert_allclose(chunks[:, :, :3].sum(axis=1), [[0.2, 0.8, 0.6], [0.9, 0.1, 0.4]],
+                               atol=1e-15)
 
 
 # ------------------------------------------------------------------ corruption
@@ -107,6 +115,18 @@ def test_corruption_mode_validation():
 
 # ------------------------------------------------------------------ dataset hash
 
+def test_dataset_hash_hashes_one_line_per_episode():
+    """The README format: `train instr n (id x y z)xn chunk...`, floats by repr."""
+    positions = [[[0.5, 0.25, 1.0], [0.1, 0.2, 0.3]], [[0.0, 0.75, 0.5], [1.0, 1.0, 0.0]]]
+    scenes = Scenes(np.array(positions), np.array([[7, 2], [0, 15]]), np.array([1, 0]))
+    targets = target_actions(scenes, 2, 4)
+    lines = ["train 1 2 7 0.5 0.25 1.0 2 0.1 0.2 0.3 "
+             "0.05 0.1 0.15 0.0 0.05 0.1 0.15 1.0",
+             "train 0 2 0 0.0 0.75 0.5 15 1.0 1.0 0.0 "
+             "0.0 0.375 0.25 0.0 0.0 0.375 0.25 1.0"]
+    assert dataset_hash((scenes, targets)) == hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 def test_dataset_hash_is_sensitive(rng):
     a = make_dataset(RngStream(1, 1), 8, 2, *CHUNK)
     b = make_dataset(RngStream(1, 2), 8, 2, *CHUNK)
@@ -126,7 +146,7 @@ class _StubPolicy:
 
 def test_oracle_policy_scores_perfectly(rng):
     eps = make_dataset(rng, 16, 1, *CHUNK)
-    targets = np.stack([e.target for e in eps])
+    _, targets = eps
     m = evaluate_policy(_StubPolicy(targets), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate == 1.0 and m.mean_l2_error == 0.0
 
@@ -140,7 +160,7 @@ def test_random_policy_scores_zero(rng):
 
 def test_success_threshold_boundary(rng):
     eps = make_dataset(rng, 8, 1, *CHUNK)
-    targets = np.stack([e.target for e in eps])
+    _, targets = eps
     just_outside = targets + (SUCCESS_EPS + 1e-9)
     m = evaluate_policy(_StubPolicy(just_outside), eps, RngStream(2, 2), ExperimentConfig())
     assert m.success_rate == 0.0

@@ -28,11 +28,12 @@ def test_tau_uniform_mean(rng):
 
 
 def test_tau_beta22_moments(rng):
-    cfg = ExperimentConfig(tau_alpha=2.0, tau_beta=2.0)
-    draws = sample_tau(rng, cfg, size=10_000)
-    assert abs(draws.mean() - 0.5) < 0.02
-    # Beta variance: ab / ((a+b)^2 (a+b+1)) = 4/80 = 0.05
-    assert abs(draws.var() - 0.05) < 0.01
+    """Beta(a, b) moments; the asymmetric Beta(2, 5), mean 2/7, tells a from b."""
+    for a, b in ((2.0, 2.0), (2.0, 5.0)):
+        draws = sample_tau(rng, ExperimentConfig(tau_alpha=a, tau_beta=b), size=10_000)
+        assert abs(draws.mean() - a / (a + b)) < 0.02
+        # Beta variance: ab / ((a+b)^2 (a+b+1)); 4/80 = 0.05 for Beta(2, 2)
+        assert abs(draws.var() - a * b / ((a + b) ** 2 * (a + b + 1))) < 0.01
 
 
 def test_tau_deterministic_given_stream():

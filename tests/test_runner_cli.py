@@ -97,6 +97,42 @@ def test_corruption_ablation_three_records():
     assert [r.config["corruption"] for r in records] == ["none", "zeros", "gaussian"]
 
 
+def _count_trainings(monkeypatch):
+    calls, train = [], runner.train_policy
+
+    def counted(*args):
+        calls.append(args)
+        return train(*args)
+
+    monkeypatch.setattr(runner, "train_policy", counted)
+    return calls
+
+
+def test_corruption_ablation_trains_once(tmp_path, capsys, monkeypatch):
+    """Training reads no corruption field, so `ablate --kind corruption`
+    trains one policy, and each record is the one a separate run writes."""
+    calls = _count_trainings(monkeypatch)
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--kind", "corruption", "--config",
+                     str(write_tiny_config(tmp_path)), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    written = [(out / f"record_{i:02d}.json").read_text() for i in range(3)]
+    assert written == [run_single(cfg)[0].to_json() + "\n"
+                       for cfg in ABLATIONS["corruption"](run_cfg())]
+
+
+def test_run_all_trains_once_per_group_of_eval_only_differences(monkeypatch):
+    base = run_cfg()
+    configs = [base, base.replace(scheme="none"),
+               base.replace(corruption="gaussian", corruption_sigma=0.5, eval_episodes=3,
+                            euler_steps=3)]
+    calls = _count_trainings(monkeypatch)
+    records = run_all(configs, jobs=2)
+    assert len(calls) == 2
+    assert [r.to_json() for r in records] == [run_single(cfg)[0].to_json() for cfg in configs]
+
+
 def test_unknown_ablation_kind(tmp_path, capsys):
     argv = ["ablate", "--kind", "lr_sweep", "--out", str(tmp_path / "abl")]
     assert cli.main(argv) == 2

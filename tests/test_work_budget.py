@@ -14,7 +14,6 @@ and reports the old and new counts.
 """
 import json
 
-import numpy as np
 import pytest
 
 from conftest import DATA_DIR, tiny_cfg
@@ -59,18 +58,16 @@ def measure(cfg: ExperimentConfig, n_predict: int) -> dict:
     """Counts for one training step on a batch of `cfg.batch_size` and one
     `predict` over `n_predict` episodes."""
     policy = FusionPolicy(cfg, RngStream(cfg.seed, 0))
-    episodes = make_dataset(RngStream(cfg.seed, 1), max(cfg.batch_size, n_predict),
-                            cfg.n_objects, cfg.horizon, cfg.d_action)
-    batch = episodes[:cfg.batch_size]
-    scenes = [ep.scene for ep in batch]
-    actions = np.stack([ep.target for ep in batch])
+    scenes, targets = make_dataset(RngStream(cfg.seed, 1), max(cfg.batch_size, n_predict),
+                                   cfg.n_objects, cfg.horizon, cfg.d_action)
+    batch = slice(cfg.batch_size)
 
     def step():
-        loss, _ = policy.loss(scenes, actions, RngStream(cfg.seed, 2))
+        loss, _ = policy.loss(scenes[batch], targets[batch], RngStream(cfg.seed, 2))
         loss.backward()
 
     def predict():
-        policy.predict([ep.scene for ep in episodes[:n_predict]], RngStream(cfg.seed, 3))
+        policy.predict(scenes[:n_predict], RngStream(cfg.seed, 3))
 
     return {"step": _counted(step), "predict": _counted(predict)}
 
