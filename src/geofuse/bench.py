@@ -14,7 +14,6 @@ here measures.  Every size and count read here comes from an
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,6 @@ from .rng import RngStream
 
 HOME_POSE = np.zeros(3)
 SUCCESS_EPS = 0.05  # max-norm action error below this counts as success
-
-
-@dataclass
-class Metrics:
-    success_rate: float
-    mean_l2_error: float
-    n_episodes: int
 
 
 def target_actions(scenes: Scenes, horizon: int, d_action: int) -> np.ndarray:
@@ -47,9 +39,8 @@ def target_actions(scenes: Scenes, horizon: int, d_action: int) -> np.ndarray:
 
 
 def corrupt_geo(tokens: np.ndarray, cfg: ExperimentConfig, rng: RngStream) -> np.ndarray:
-    """Geometric tokens as `cfg.corruption` leaves them."""
-    if cfg.corruption == "none":
-        return tokens
+    """Geometric tokens as a `zeros` or `gaussian` `cfg.corruption` leaves
+    them; under `none`, `evaluate_policy` passes no corrupter at all."""
     if cfg.corruption == "zeros":
         return np.zeros_like(tokens)
     return rng.normal(tokens.shape, cfg.corruption_sigma)
@@ -120,9 +111,10 @@ def train_policy(policy: FusionPolicy, dataset, cfg: ExperimentConfig,
 
 
 def evaluate_policy(policy: FusionPolicy, dataset, rng: RngStream,
-                    cfg: ExperimentConfig) -> Metrics:
+                    cfg: ExperimentConfig) -> dict:
     """Score `policy` on the (scenes, targets) `dataset` (at least one
-    episode) under `cfg.corruption`."""
+    episode) under `cfg.corruption`: the run record's per-task dict
+    `{"success_rate", "mean_l2_error", "n_episodes"}`."""
     scenes, targets = dataset
     corrupt_rng = rng.derive(7)
 
@@ -134,8 +126,5 @@ def evaluate_policy(policy: FusionPolicy, dataset, rng: RngStream,
     err = pred - targets
     max_err = np.abs(err).reshape(len(scenes), -1).max(axis=1)
     l2 = np.sqrt((err**2).reshape(len(scenes), -1).sum(axis=1))
-    return Metrics(
-        success_rate=float((max_err < SUCCESS_EPS).mean()),
-        mean_l2_error=float(l2.mean()),
-        n_episodes=len(scenes),
-    )
+    return {"success_rate": float((max_err < SUCCESS_EPS).mean()),
+            "mean_l2_error": float(l2.mean()), "n_episodes": len(scenes)}

@@ -88,8 +88,8 @@ def cmd_eval(args) -> int:
     if args.corruption:
         cfg = cfg.replace(corruption=args.corruption)
     m = evaluate_config(policy, cfg, build_eval_dataset(cfg))
-    print(f"success_rate={m.success_rate:.4f} mean_l2_error={m.mean_l2_error:.4f} "
-          f"n={m.n_episodes}")
+    print(f"success_rate={m['success_rate']:.4f} mean_l2_error={m['mean_l2_error']:.4f} "
+          f"n={m['n_episodes']}")
     return 0
 
 

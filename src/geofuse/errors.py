@@ -22,4 +22,6 @@ class ConfigError(GeofuseError):
 
 
 class CheckpointError(GeofuseError):
-    """Checkpoint file is malformed, truncated, or from another version."""
+    """Checkpoint file is malformed, truncated, fails its SHA-256 digest, or
+    is from another format version (version-1 files, which have no digest,
+    included)."""

@@ -90,15 +90,8 @@ def _scored(policy: FusionPolicy, cfg: ExperimentConfig, eval_set, curve,
             train_hash: str) -> RunRecord:
     """The record of `policy`, trained with loss `curve` on the set hashed
     `train_hash`, scored on `eval_set` as `cfg` says."""
-    metrics = evaluate_config(policy, cfg, eval_set)
-    return RunRecord(
-        config=cfg.to_dict(),
-        metrics={TASK_NAME: {"success_rate": metrics.success_rate,
-                             "mean_l2_error": metrics.mean_l2_error,
-                             "n_episodes": metrics.n_episodes}},
-        loss_curve=curve,
-        dataset_hash=train_hash,
-    )
+    return RunRecord(cfg.to_dict(), {TASK_NAME: evaluate_config(policy, cfg, eval_set)},
+                     curve, train_hash)
 
 
 # A sweep maps a base config to the configs it runs.  Each differs from the

@@ -153,8 +153,6 @@ class Tensor:
         y = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bwd(g):
-            if not self.requires_grad:
-                return
             if axis is None:
                 self._accum(np.broadcast_to(g, self.data.shape).copy())
             else:
@@ -280,14 +278,11 @@ class ParamSet:
     def __init__(self):
         self._by_id: dict[str, Param] = {}
 
-    def add(self, param: Param) -> Param:
-        if param.id in self._by_id:
-            raise ShapeError(f"duplicate param id {param.id!r}")
-        self._by_id[param.id] = param
-        return param
-
     def new(self, pid: str, data, trainable: bool = True) -> Param:
-        return self.add(Param(pid, Tensor(data, requires_grad=trainable)))
+        if pid in self._by_id:
+            raise ShapeError(f"duplicate param id {pid!r}")
+        param = self._by_id[pid] = Param(pid, Tensor(data, requires_grad=trainable))
+        return param
 
     def __getitem__(self, pid: str) -> Param:
         return self._by_id[pid]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_RUN, grad_check, make_scenes, rows_from_csv, tiny_cfg, tiny_policy
+from geofuse import gating
 from geofuse.bench import dataset_hash, evaluate_policy, train_policy
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.config import ExperimentConfig
@@ -20,6 +21,7 @@ from geofuse.rng import RngStream
 from geofuse.runner import (
     RunRecord,
     build_datasets,
+    build_eval_dataset,
     build_policy,
     emit_table,
     loss_curves_csv,
@@ -262,7 +264,7 @@ def test_corrupting_geometry_destroys_the_trained_policy(announce, trained_runs)
         for kind in ("zeros", "gaussian"):
             m = evaluate_policy(pol_g, eval_eps, RngStream(cfg.seed, _STREAM_EVAL),
                                 cfg.replace(corruption=kind, corruption_sigma=1.0))
-            margins[(seed, kind)] = clean - m.success_rate
+            margins[(seed, kind)] = clean - m["success_rate"]
     worst = min(margins.values())
     ok = worst >= 0.20
     announce(8, "corrupted geometry collapses success", ok,
@@ -277,11 +279,7 @@ def _record_for_policy(cfg, policy):
     train_eps, eval_eps = build_datasets(cfg)
     curve = train_policy(policy, train_eps, cfg, RngStream(cfg.seed, _STREAM_TRAIN))
     m = evaluate_policy(policy, eval_eps, RngStream(cfg.seed, _STREAM_EVAL), cfg)
-    return RunRecord(cfg.to_dict(),
-                     {TASK_NAME: {"success_rate": m.success_rate,
-                                  "mean_l2_error": m.mean_l2_error,
-                                  "n_episodes": m.n_episodes}},
-                     curve, dataset_hash(train_eps))
+    return RunRecord(cfg.to_dict(), {TASK_NAME: m}, curve, dataset_hash(train_eps))
 
 
 def test_sparse_zero_equals_full_layerwise_fusion(announce):
@@ -343,3 +341,34 @@ def test_reports_are_reproducible_and_checkpoints_round_trip(announce, tmp_path)
              f"round-trip failures: {bad}" if bad else "")
     assert deterministic
     assert not bad
+
+
+# ---------------------------------------------------------------- 12 gate reads geometry
+
+def test_the_trained_gate_reads_the_geometry(announce, trained_runs, monkeypatch):
+    """Over each seed's eval scenes, the trained gate spreads out on clean
+    geometry and goes flat, almost never above 0.9, on zeroed geometry."""
+    gates = []
+
+    def capture(h_mllm, f_geo, params):
+        gate, fused = gate_and_fuse(h_mllm, f_geo, params)
+        gates.append(gate.data.ravel())
+        return gate, fused
+
+    monkeypatch.setattr(gating, "gate_and_fuse", capture)
+    stats = {}  # (seed, geometry) -> (gate std, share of gates above 0.9)
+    for seed, (cfg, _, pol_g, _, _) in trained_runs.items():
+        scenes, _ = build_eval_dataset(cfg)
+        for kind, corrupter in (("clean", None), ("zeros", np.zeros_like)):
+            gates.clear()
+            pol_g.predict(scenes, RngStream(cfg.seed, _STREAM_EVAL), corrupter)
+            g = np.concatenate(gates)
+            stats[(seed, kind)] = (float(g.std()), float((g > 0.9).mean()))
+    bad = [seed for seed in trained_runs
+           if not (stats[(seed, "clean")][0] >= 2.0 * stats[(seed, "zeros")][0]
+                   and stats[(seed, "clean")][1] >= 0.05
+                   and stats[(seed, "zeros")][1] <= 0.01)]
+    announce(12, "the trained gate reads the geometry", not bad,
+             "; ".join(f"seed{seed} {kind} std {sd:.3f} >0.9 {hi:.1%}"
+                       for (seed, kind), (sd, hi) in stats.items()))
+    assert not bad, f"seeds {bad}: {stats}"

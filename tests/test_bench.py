@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, one_scene, tiny_cfg
+from geofuse import bench
 from geofuse.backbones import Scenes
 from geofuse.bench import (
     HOME_POSE,
@@ -88,9 +89,15 @@ def test_target_action_reaches_instructed_object():
 
 # ------------------------------------------------------------------ corruption
 
-def test_corrupt_none_is_bitwise_passthrough(rng):
-    t = rng.normal((2, 3, 4))
-    assert corrupt_geo(t, ExperimentConfig(corruption="none"), rng) is t
+@pytest.mark.parametrize("corruption,calls", [("none", 0), ("zeros", 1)])
+def test_evaluate_under_none_never_calls_corrupt_geo(monkeypatch, corruption, calls):
+    """`none` leaves the geometric tokens to `predict` untouched: no corrupter
+    is passed, so `corrupt_geo` runs only for a real corruption mode."""
+    seen = []
+    monkeypatch.setattr(bench, "corrupt_geo", lambda tokens, cfg, rng: seen.append(1) or tokens)
+    pol, cfg = _tiny_run("gated_fusion", corruption=corruption, euler_steps=1)
+    evaluate_policy(pol, _tiny_dataset(3, 4), RngStream(2, 2), cfg)
+    assert len(seen) == calls
 
 
 def test_corrupt_zeros(rng):
@@ -148,14 +155,14 @@ def test_oracle_policy_scores_perfectly(rng):
     eps = make_dataset(rng, 16, 1, *CHUNK)
     _, targets = eps
     m = evaluate_policy(_StubPolicy(targets), eps, RngStream(2, 2), ExperimentConfig())
-    assert m.success_rate == 1.0 and m.mean_l2_error == 0.0
+    assert m["success_rate"] == 1.0 and m["mean_l2_error"] == 0.0
 
 
 def test_random_policy_scores_zero(rng):
     eps = make_dataset(rng, 32, 1, *CHUNK)
     noise = RngStream(9, 9).normal((32, 4, 7))
     m = evaluate_policy(_StubPolicy(noise), eps, RngStream(2, 2), ExperimentConfig())
-    assert m.success_rate <= 1.0 / 32
+    assert m["success_rate"] <= 1.0 / 32
 
 
 def test_success_threshold_boundary(rng):
@@ -163,7 +170,7 @@ def test_success_threshold_boundary(rng):
     _, targets = eps
     just_outside = targets + (SUCCESS_EPS + 1e-9)
     m = evaluate_policy(_StubPolicy(just_outside), eps, RngStream(2, 2), ExperimentConfig())
-    assert m.success_rate == 0.0
+    assert m["success_rate"] == 0.0
 
 
 def test_evaluate_requires_episodes():
