@@ -9,6 +9,8 @@ closure: the backbone's input sequence, every backbone layer's output,
 and one conditioning Tensor per action block in both archs.
 Conditioning is computed once per inference call and reused across all
 integration steps, since no scheme couples the backbone to the flow time.
+`predict` builds no graph: it runs under `tensor.no_grad`, which leaves
+every value as it is.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .config import ExperimentConfig
 from .flow import euler_integrate, fm_loss, fm_training_targets, sample_tau
 from .rng import RngStream
 from .schemes import FusionScheme, make_scheme
-from .tensor import ParamSet, Tensor
+from .tensor import ParamSet, Tensor, no_grad
 
 
 class FusionPolicy:
@@ -99,12 +101,14 @@ class FusionPolicy:
     # -- inference ---------------------------------------------------------
 
     def predict(self, scenes, rng: RngStream, corruption=None) -> np.ndarray:
-        """Sample an action chunk per scene by integrating the velocity field."""
-        geo = self.geo_tokens(scenes, training=False, corruption=corruption)
-        cond, branch, _ = self.conditioning(scenes, geo)
+        """Sample an action chunk per scene by integrating the velocity field;
+        records no graph."""
         shape = (len(scenes), self.cfg.horizon, self.cfg.d_action)
+        with no_grad():
+            geo = self.geo_tokens(scenes, training=False, corruption=corruption)
+            cond, branch, _ = self.conditioning(scenes, geo)
 
-        def vel(a, tau):
-            return self.dit.forward(Tensor(a), cond, tau, geo_branch=branch).data
+            def vel(a, tau):
+                return self.dit.forward(Tensor(a), cond, tau, geo_branch=branch).data
 
-        return euler_integrate(vel, shape, rng, self.cfg)
+            return euler_integrate(vel, shape, rng, self.cfg)

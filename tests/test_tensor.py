@@ -1,16 +1,22 @@
 """Numeric core: ops vs independent loop oracles, autograd vs central
-differences, and rng determinism."""
+differences, `no_grad`, and rng determinism."""
+import contextlib
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import grad_check
-from geofuse import kernels
+from conftest import grad_check, make_scenes, tiny_cfg, tiny_policy
+from geofuse import kernels, policy
+from geofuse.config import SCHEME_IDS
 from geofuse.errors import NumericError, ShapeError
 from geofuse.nn import attention_params, cosine_rows, cross_attention, linear, mean_pool_seq, mse
+from geofuse.policy import FusionPolicy
 from geofuse.rng import RngStream
-from geofuse.tensor import ParamSet, Tensor, concat, embedding, layer_norm
+from geofuse.tensor import ParamSet, Tensor, concat, embedding, layer_norm, no_grad
 
 
 # ------------------------------------------------------------------ oracles
@@ -113,6 +119,24 @@ def test_sigmoid_of_huge_logits_is_exact_and_raises_no_warning():
         warnings.simplefilter("error")
         y = Tensor(np.array([-1000.0, 0.0, 1000.0])).sigmoid().data
     np.testing.assert_array_equal(y, [0.0, 0.5, 1.0])
+
+
+# ------------------------------------------------------------------ gelu
+
+def gelu_textbook(x):
+    """The tanh form as written (Hendrycks & Gimpel, arXiv:1606.08415)."""
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
+@given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=64))
+@example([-30.0, -3.8117536225917767, 0.0, 30.0])
+def test_gelu_matches_the_textbook_formula(xs):
+    """`x2 * x` and `x**3` may differ in the last bit.  That ulp reaches
+    `1 + tanh(u)`, which cancels for negative x (a relative error of 1.3e-12
+    at the example's x = -3.81), so the absolute tolerance covers outputs
+    near zero; tanh saturates at |x| = 30."""
+    x = np.array(xs)
+    np.testing.assert_allclose(Tensor(x).gelu().data, gelu_textbook(x), rtol=1e-15, atol=1e-15)
 
 
 # ------------------------------------------------------------------ pooling
@@ -321,6 +345,17 @@ def test_grad_check_attention_node(rng, kv_source):
     assert kv.value.requires_grad or kv.value.grad is None
 
 
+def test_grad_check_gelu(rng):
+    store = ParamSet()
+    x = store.new("x", rng.normal((4, 6), 2.0))
+    target = rng.normal((4, 6))
+
+    def loss():
+        return mse(x.value.gelu(), Tensor(target))
+
+    assert grad_check(loss, store, rng.derive(6), n_coords=24) < 1e-5
+
+
 def test_grad_check_cosine_and_nonlinearities(rng):
     store = ParamSet()
     a = store.new("a", rng.normal((3, 5)))
@@ -363,6 +398,90 @@ def test_param_set_rejects_duplicate_ids(rng):
     store.new("w", rng.normal((2, 2)))
     with pytest.raises(ShapeError):
         store.new("w", rng.normal((2, 2)))
+
+
+# ------------------------------------------------------------------ no_grad
+
+def test_no_grad_records_no_graph():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        y = (w * 2.0 + w).gelu().sum()
+    assert y._backward is None and y._parents == () and not y.requires_grad
+    assert (w * 2.0)._backward is not None  # recording resumes after the block
+
+
+def test_no_grad_is_restored_after_an_error():
+    w = Tensor(np.array([1e308]), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        with no_grad():
+            _ = w * w
+    assert (w * 1.0)._backward is not None
+
+
+def test_no_grad_nests():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert (w * 1.0)._backward is None
+    assert (w * 1.0)._backward is not None
+
+
+def test_no_grad_in_one_thread_leaves_another_threads_graph():
+    """Thread A sits inside `no_grad` while thread B computes a loss and its
+    gradients; B's params must still get them."""
+    pol = tiny_policy("gated_fusion")
+    scenes = make_scenes(RngStream(3, 0), 2)
+    actions = RngStream(3, 1).normal((2, 2, 4))
+    a_inside, b_done = threading.Event(), threading.Event()
+    errors = []
+
+    def thread_a():
+        with no_grad():
+            a_inside.set()
+            b_done.wait(timeout=30)
+
+    def thread_b():
+        try:
+            a_inside.wait(timeout=30)
+            total, _ = pol.loss(scenes, actions, RngStream(13, 13))
+            total.backward()
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+        finally:
+            b_done.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and not errors
+    trained = [p.id for p in pol.store if p.value.requires_grad]
+    assert trained and all(pol.store[pid].value.grad is not None for pid in trained)
+
+
+@pytest.mark.parametrize("arch", ["groot", "pi"])
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_predict_without_a_graph_matches_predict_with_one(monkeypatch, scheme, arch):
+    extra = {"sparse_k": 1} if arch == "pi" else {}
+    pol = FusionPolicy(tiny_cfg(scheme=scheme, arch=arch, **extra), RngStream(99, 0))
+    scenes = make_scenes(RngStream(3, 0), 4)
+    plain = pol.predict(scenes, RngStream(5, 1))
+
+    nodes = []
+    make = Tensor._make
+
+    def counting_make(data, parents, backward):
+        out = make(data, parents, backward)
+        nodes.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(policy, "no_grad", contextlib.nullcontext)
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+    with_graph = pol.predict(scenes, RngStream(5, 1))
+    assert any(nodes)  # the patched predict did build a graph
+    np.testing.assert_array_equal(plain, with_graph)
 
 
 # ------------------------------------------------------------------ rng
