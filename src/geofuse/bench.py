@@ -94,7 +94,7 @@ def train_policy(policy: FusionPolicy, dataset, cfg: ExperimentConfig,
     scenes, targets = dataset
     backbone, fusion = policy.param_groups()
     opt = AdaptiveOptimizer(
-        [(backbone, cfg.lr_backbone), (fusion, cfg.lr_fusion)],
+        policy.store, [(backbone, cfg.lr_backbone), (fusion, cfg.lr_fusion)],
         total_steps=cfg.train_steps, warmup_frac=cfg.warmup_frac,
     )
     data_rng = rng.derive(101)

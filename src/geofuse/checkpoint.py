@@ -3,9 +3,12 @@
 Layout: 8-byte magic, uint32 format version, uint64 header length, JSON
 header (config snapshot + ordered param manifest with shapes), the raw
 little-endian float64 payload of every param in manifest order, then a
-32-byte SHA-256 of every byte before it.  `save_checkpoint` writes the file
-with one write; `load_checkpoint` reads it with one read and checks the
-digest before it parses the header.  Round trips are bit-exact.
+32-byte SHA-256 of every byte before it.  The manifest follows store order,
+so the payload is the store's flat vector (`ParamSet.flat`) as it lies in
+memory: `save_checkpoint` writes it with one `tobytes` and the file with
+one write; `load_checkpoint` reads the file with one read, checks the
+digest before it parses the header, and fills the vector with one copy.
+Round trips are bit-exact.
 """
 from __future__ import annotations
 
@@ -30,9 +33,8 @@ def save_checkpoint(policy, config: ExperimentConfig, path) -> None:
     manifest = [{"id": p.id, "shape": list(p.value.data.shape)} for p in policy.store]
     header = json.dumps({"config": config.to_dict(), "params": manifest},
                         sort_keys=True).encode()
-    body = b"".join([MAGIC, struct.pack("<IQ", VERSION, len(header)), header]
-                    + [np.ascontiguousarray(p.value.data, dtype="<f8").tobytes()
-                       for p in policy.store])
+    payload = policy.store.flat().astype("<f8", copy=False).tobytes()
+    body = b"".join([MAGIC, struct.pack("<IQ", VERSION, len(header)), header, payload])
     Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
@@ -43,7 +45,8 @@ def _is_entry(m) -> bool:
 
 
 def load_checkpoint(path):
-    """Rebuild the policy named in the header and restore every param bit-exactly."""
+    """Rebuild the policy named in the header and restore every param
+    bit-exactly, each param's data a view into the store's flat vector."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -87,14 +90,11 @@ def load_checkpoint(path):
                 f"model {p.value.data.shape}"
             )
     offset = _FIXED + hlen
-    need = 8 * sum(p.value.data.size for p in policy.store)
+    flat = policy.store.flat()
+    need = 8 * flat.size
     if end - offset < need:
         raise CheckpointError(f"truncated payload: {end - offset} bytes, manifest needs {need}")
     if end - offset > need:
         raise CheckpointError("trailing bytes after checkpoint payload")
-    for p in policy.store:
-        n = p.value.data.size
-        p.value.data = np.frombuffer(raw, dtype="<f8", count=n,
-                                     offset=offset).reshape(p.value.data.shape).copy()
-        offset += 8 * n
+    flat[:] = np.frombuffer(raw, dtype="<f8", count=flat.size, offset=offset)
     return policy, config

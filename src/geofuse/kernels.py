@@ -1,6 +1,8 @@
 """Hot inner-loop kernels: row softmax and layer norm, forward and backward.
 
-Plain numpy over 2D float64 arrays with the reduced axis last.  tensor.py
+Plain numpy over 2D float64 arrays with the reduced axis last.  Each kernel
+writes its intermediates in place, in the order of operations of the
+textbook formula, so its outputs match that formula bit for bit.  tensor.py
 (layer norm) and nn.py (attention) flatten leading axes and call these as
 `kernels.<name>`, so a wrapper installed on this module (such as the
 perfbench tracer) sees every call.
@@ -13,29 +15,42 @@ HAS_NUMBA = False  # numpy is the only kernel path; perfbench still reports this
 
 
 def softmax_fwd(x):
-    m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_bwd(y, gy):
-    dot = (y * gy).sum(axis=1, keepdims=True)
-    return y * (gy - dot)
+    t = y * gy
+    dot = np.add.reduce(t, axis=1, keepdims=True)
+    np.subtract(gy, dot, out=t)
+    t *= y
+    return t
 
 
 def layernorm_fwd(x, gain, bias, eps):
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, xhat, inv[:, 0]
+    d = x.shape[1]
+    xhat = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    y = xhat * xhat
+    inv = np.add.reduce(y, axis=1, keepdims=True) / d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, xhat, inv[:, 0]
 
 
 def layernorm_bwd(gy, xhat, inv, gain):
-    gxhat = gy * gain
-    m1 = gxhat.mean(axis=1, keepdims=True)
-    m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
-    gx = inv[:, None] * (gxhat - m1 - xhat * m2)
-    ggain = (gy * xhat).sum(axis=0)
-    gbias = gy.sum(axis=0)
-    return gx, ggain, gbias
+    d = gy.shape[1]
+    gx = gy * gain
+    t = gx * xhat
+    m2 = np.add.reduce(t, axis=1, keepdims=True) / d
+    gx -= np.add.reduce(gx, axis=1, keepdims=True) / d
+    np.multiply(xhat, m2, out=t)
+    gx -= t
+    gx *= inv[:, None]
+    np.multiply(gy, xhat, out=t)
+    return gx, np.add.reduce(t, axis=0), np.add.reduce(gy, axis=0)

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Param, ParamSet, Tensor, _unbroadcast, layer_norm
+from .tensor import Param, ParamSet, Tensor, layer_norm
 
 
 def _value(p) -> Tensor:
@@ -32,11 +32,13 @@ def linear(x: Tensor, w) -> Tensor:
 
 
 def _linear_bwd(x: Tensor, w: Tensor, g):
-    """Accumulate the gradients of y = x @ w, for a 2-D w, into x and w."""
+    """Accumulate the gradients of y = x @ w, for a 2-D w, into x and w.
+    The weight gradient is one 2-D product over every leading axis of x."""
     if x.requires_grad:
         x._accum(g @ w.data.T)
     if w.requires_grad:
-        w._accum(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        k, o = w.data.shape
+        w._accum(x.data.reshape(-1, k).T @ g.reshape(-1, o))
 
 
 def mean_pool_seq(h: Tensor) -> Tensor:
@@ -78,16 +80,18 @@ def cross_attention(q: Tensor, kv: Tensor, wq, wk, wv, wo, heads: int) -> Tensor
     qh = split(q.data @ wq.data, lq)
     kh = split(kv.data @ wk.data, lk)
     vh = split(kv.data @ wv.data, lk)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
     p = kernels.softmax_fwd(scores.reshape(-1, lk)).reshape(scores.shape)
     o = merge(p @ vh, lq)
 
     def bwd(g):
         if wo.requires_grad:
-            wo._accum(_unbroadcast(o.swapaxes(-1, -2) @ g, wo.data.shape))
+            wo._accum(o.reshape(-1, d).T @ g.reshape(-1, d))
         do = split(g @ wo.data.T, lq)
         dp = do @ vh.swapaxes(-1, -2)
-        ds = kernels.softmax_bwd(p.reshape(-1, lk), dp.reshape(-1, lk)).reshape(p.shape) * scale
+        ds = kernels.softmax_bwd(p.reshape(-1, lk), dp.reshape(-1, lk)).reshape(p.shape)
+        ds *= scale
         _linear_bwd(q, wq, merge(ds @ kh, lq))
         _linear_bwd(kv, wk, merge(ds.swapaxes(-1, -2) @ qh, lk))
         _linear_bwd(kv, wv, merge(p.swapaxes(-1, -2) @ do, lk))

@@ -45,7 +45,8 @@ class FusionPolicy:
 
     def param_groups(self):
         """(backbone `mllm.*` params, every other param), in store order;
-        the optimizer skips frozen params."""
+        the optimizer skips frozen params.  The backbone is built first, so
+        each group is one contiguous slice of `store.flat()`."""
         backbone = [p for p in self.store if p.id.startswith("mllm.")]
         rest = [p for p in self.store if not p.id.startswith("mllm.")]
         return backbone, rest

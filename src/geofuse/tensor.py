@@ -55,7 +55,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("non-finite values in tensor")
         self.data = arr
         self.grad = None
@@ -207,15 +207,31 @@ class Tensor:
         # tanh approximation; smooth everywhere, which keeps central
         # differences honest in grad_check.  Powers are products: numpy
         # sends x**3 through pow, which costs more than the rest together.
+        # Intermediates are written in place, in the textbook formula's
+        # order of operations, so values match it bit for bit.
         x = self.data
         x2 = x * x
-        t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-        y = 0.5 * x * (1.0 + t)
+        t = x2 * x
+        t *= 0.044715
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        one_t = t + 1.0
+        y = 0.5 * x
+        y *= one_t
 
         def bwd(g):
-            du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-            dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            self._maybe(g * dy)
+            du = x2 * (3 * 0.044715)
+            du += 1.0
+            du *= _GELU_C
+            dt = t * t
+            np.subtract(1.0, dt, out=dt)
+            dy = 0.5 * x
+            dy *= dt
+            dy *= du
+            dy += 0.5 * one_t
+            dy *= g
+            self._maybe(dy)
 
         return Tensor._make(y, (self,), bwd)
 
@@ -300,15 +316,24 @@ class Param:
 
 
 class ParamSet:
-    """Ordered collection of Params with unique ids."""
+    """Ordered collection of Params with unique ids.
+
+    `flat` lays every param's data out as a view into one float64 vector,
+    in store order, so that whole-model work (the optimizer update, a
+    checkpoint's payload) runs on one array.  Code changes a param's data
+    in place and never rebinds it, which would detach it from the vector.
+    """
 
     def __init__(self):
         self._by_id: dict[str, Param] = {}
+        self._flat = None
+        self._spans: dict[str, tuple[int, int]] = {}
 
     def new(self, pid: str, data, trainable: bool = True) -> Param:
         if pid in self._by_id:
             raise ShapeError(f"duplicate param id {pid!r}")
         param = self._by_id[pid] = Param(pid, Tensor(data, requires_grad=trainable))
+        self._flat = None  # the next `flat` lays every param out again
         return param
 
     def __getitem__(self, pid: str) -> Param:
@@ -319,6 +344,28 @@ class ParamSet:
 
     def ids(self):
         return list(self._by_id)
+
+    def flat(self) -> np.ndarray:
+        """Every param's data as one contiguous float64 vector, in store
+        order, each param's data a view into it.  The first call after a
+        param is added copies every param into a new vector; later calls
+        return that vector."""
+        if self._flat is None:
+            self._flat = np.empty(sum(p.value.data.size for p in self))
+            lo = 0
+            for p in self:
+                data = p.value.data
+                view = self._flat[lo:lo + data.size].reshape(data.shape)
+                view[...] = data
+                p.value.data = view
+                self._spans[p.id] = (lo, lo + data.size)
+                lo += data.size
+        return self._flat
+
+    def span(self, pid: str) -> tuple[int, int]:
+        """[lo, hi) of param `pid`'s data in `flat`."""
+        self.flat()
+        return self._spans[pid]
 
     def zero_grad(self):
         for p in self:

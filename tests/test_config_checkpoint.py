@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_cfg
+from conftest import DATA_DIR, tiny_cfg
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.config import ARCHS, CORRUPTIONS, SCHEME_IDS, ExperimentConfig
 from geofuse.errors import CheckpointError, ConfigError, GeofuseError
@@ -375,6 +375,52 @@ def test_checkpoint_payload_flip_fails_the_digest(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="digest mismatch"):
         load_checkpoint(path)
+
+
+def _payload(path):
+    """The float64 payload of a checkpoint file: after the header, before the digest."""
+    raw = Path(path).read_bytes()
+    _, hlen = struct.unpack_from("<IQ", raw, 8)
+    return raw[20 + hlen:-32]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_checkpoint_payload_is_the_per_param_join(tmp_path, scheme, arch):
+    """The payload, written with one `tobytes` of the store's flat vector,
+    equals the per-param join the format names, before and after layout."""
+    cfg = tiny_cfg(scheme=scheme, arch=arch, freeze_geo=False)
+    policy = build_policy(cfg)
+    joined = b"".join(np.ascontiguousarray(p.value.data, dtype="<f8").tobytes()
+                      for p in policy.store)
+    save_checkpoint(policy, cfg, tmp_path / "model.bin")
+    assert _payload(tmp_path / "model.bin") == joined
+    assert b"".join(p.value.data.tobytes() for p in policy.store) == joined
+
+
+def test_loaded_params_are_views_into_the_flat_vector(tmp_path):
+    _, _, path = write_ckpt(tmp_path)
+    loaded, _ = load_checkpoint(path)
+    flat = loaded.store.flat()
+    assert all(p.value.data.base is flat for p in loaded.store)
+    assert flat.tobytes() == _payload(path)
+
+
+def test_a_checkpoint_written_before_the_flat_vector_still_loads(tmp_path):
+    """`checkpoint_v2_gated_pi.bin` was written by the per-param writer after
+    five training steps (tiny gated_fusion, arch=pi, sparse_k=1).  It loads
+    to the params it names, and saving them again writes the same bytes."""
+    path = DATA_DIR / "checkpoint_v2_gated_pi.bin"
+    loaded, cfg = load_checkpoint(path)
+    assert (cfg.scheme, cfg.arch, cfg.sparse_k) == ("gated_fusion", "pi", 1)
+    payload, lo = _payload(path), 0
+    for p in loaded.store:
+        n = 8 * p.value.data.size
+        assert p.value.data.tobytes() == payload[lo:lo + n], p.id
+        lo += n
+    assert loaded.store.flat().tobytes() != build_policy(cfg).store.flat().tobytes()
+    save_checkpoint(loaded, cfg, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 # ------------------------------------------------------------------ config fuzz

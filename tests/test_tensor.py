@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grad_check, make_scenes, tiny_cfg, tiny_policy
@@ -137,6 +137,129 @@ def test_gelu_matches_the_textbook_formula(xs):
     near zero; tanh saturates at |x| = 30."""
     x = np.array(xs)
     np.testing.assert_allclose(Tensor(x).gelu().data, gelu_textbook(x), rtol=1e-15, atol=1e-15)
+
+
+# ------------------------------------------------------------------ in-place kernels
+
+# The bodies the kernels and GELU had before they wrote their
+# intermediates in place; the in-place forms must match them bit for bit.
+
+def softmax_fwd_before(x):
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_bwd_before(y, gy):
+    dot = (y * gy).sum(axis=1, keepdims=True)
+    return y * (gy - dot)
+
+
+def layernorm_fwd_before(x, gain, bias, eps):
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv[:, 0]
+
+
+def layernorm_bwd_before(gy, xhat, inv, gain):
+    gxhat = gy * gain
+    m1 = gxhat.mean(axis=1, keepdims=True)
+    m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
+    gx = inv[:, None] * (gxhat - m1 - xhat * m2)
+    ggain = (gy * xhat).sum(axis=0)
+    gbias = gy.sum(axis=0)
+    return gx, ggain, gbias
+
+
+def gelu_before(x, g):
+    """(y, dy/dx * g) as GELU computed them with fresh temporaries."""
+    c = np.sqrt(2.0 / np.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    y = 0.5 * x * (1.0 + t)
+    du = c * (1.0 + 3 * 0.044715 * x2)
+    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    return y, g * dy
+
+
+# rows x reduced width at the default config's training step (batch 16)
+# and at a 256-episode `predict`
+KERNEL_SHAPES = [(64, 32), (32, 32), (1024, 32), (512, 32), (256, 4), (256, 2),
+                 (4096, 4), (4096, 2), (3, 1)]
+GELU_SHAPES = [(16, 4, 128), (16, 2, 128), (256, 4, 128), (5,)]
+drawn = dict(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 4.0, 30.0]))
+
+
+def _same(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(KERNEL_SHAPES), **drawn)
+def test_softmax_kernels_match_their_previous_bodies(shape, seed, scale):
+    gen = np.random.default_rng(seed)
+    x, gy = scale * gen.normal(size=shape), gen.normal(size=shape)
+    y = kernels.softmax_fwd(x)
+    _same(y, softmax_fwd_before(x))
+    _same(kernels.softmax_bwd(y, gy), softmax_bwd_before(y, gy))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(KERNEL_SHAPES), **drawn)
+def test_layernorm_kernels_match_their_previous_bodies(shape, seed, scale):
+    gen = np.random.default_rng(seed)
+    x, gy = scale * gen.normal(size=shape) + gen.normal(), gen.normal(size=shape)
+    gain, bias = gen.normal(size=shape[1]), gen.normal(size=shape[1])
+    out, want = kernels.layernorm_fwd(x, gain, bias, 1e-5), layernorm_fwd_before(x, gain, bias, 1e-5)
+    for a, b in zip(out, want):
+        _same(a, b)
+    _, xhat, inv = want
+    for a, b in zip(kernels.layernorm_bwd(gy, xhat, inv, gain),
+                    layernorm_bwd_before(gy, xhat, inv, gain)):
+        _same(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(GELU_SHAPES), **drawn)
+def test_gelu_matches_its_previous_body(shape, seed, scale):
+    """At scale 30 tanh saturates for most entries."""
+    gen = np.random.default_rng(seed)
+    x, g = np.clip(scale * gen.normal(size=shape), -30.0, 30.0), gen.normal(size=shape)
+    leaf = Tensor(x, requires_grad=True)
+    y = leaf.gelu()
+    (y * Tensor(g)).sum().backward()
+    want_y, want_dx = gelu_before(x, g)
+    _same(y.data, want_y)
+    _same(leaf.grad, want_dx)
+
+
+@given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=64))
+@example([-30.0, -3.8117536225917767, -0.0, 5e-324, 30.0])
+def test_gelu_matches_its_previous_body_on_drawn_values(xs):
+    x = np.array(xs)
+    leaf = Tensor(x, requires_grad=True)
+    y = leaf.gelu()
+    y.sum().backward()
+    want_y, want_dx = gelu_before(x, np.ones_like(x))
+    _same(y.data, want_y)
+    _same(leaf.grad, want_dx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_values_raise_from_construction_and_from_an_op(bad):
+    with pytest.raises(NumericError):
+        Tensor(np.array([[1.0, bad], [0.0, 2.0]]))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        _ = Tensor(np.array([[1.0, 2.0], [0.0, 2.0]])) * bad
+
+
+def test_a_kernel_output_that_overflows_raises():
+    """The row sum overflows, so the mean is inf and xhat is NaN."""
+    x = Tensor(np.full((2, 3), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 # ------------------------------------------------------------------ pooling
