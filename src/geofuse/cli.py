@@ -95,9 +95,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     """`pilot` and `ablate`: run every config of the sweep, then write its report."""
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     out = _out_dir(args.out)
-    records = run_all(SWEEPS[args.sweep](cfg), jobs=args.jobs)
+    records = run_all(SWEEPS[args.sweep](cfg))
     print(_write_report(out, records, args.format))
     return 0
 
@@ -125,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     def multi_run(p):
         common(p)
         p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted but has no effect: runs go one at a time")
 
     p = sub.add_parser("pilot", help="train+eval the base model and all nine schemes")
     p.set_defaults(sweep="pilot")

@@ -1,7 +1,6 @@
 """Experiment runner: single runs, sweeps (the scheme pilot, ablations), reports."""
 from __future__ import annotations
 
-import concurrent.futures
 import decimal
 import json
 from dataclasses import dataclass
@@ -109,18 +108,13 @@ ABLATIONS = {
 }
 
 
-def run_all(configs, jobs: int = 1) -> list[RunRecord]:
-    """The records of `run_single` over configs, in order, on up to `jobs`
-    threads.  Configs that differ only in `EVAL_ONLY_FIELDS` share one
+def run_all(configs) -> list[RunRecord]:
+    """The records of `run_single` over configs, in order, one run at a
+    time.  Configs that differ only in `EVAL_ONLY_FIELDS` share one
     training: `run_single` runs the first of them, and its trained policy
-    is scored again under each of the others.  No trained policy outlives
-    its group.
-
-    Threads, not processes: runs share one interpreter, so anything patched
-    on the package (timers, tracers) sees every run.  `run_single` is looked
-    up at call time for the same reason."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    is scored again under each of the others.  Each group runs in its own
+    call, so no trained policy outlives its group.  `run_single` is looked
+    up at call time, so a patched one (timers, tracers) sees every run."""
     groups = {}  # the fields training reads -> indices into configs
     for i, cfg in enumerate(configs):
         key = tuple((k, v) for k, v in cfg.to_dict().items() if k not in EVAL_ONLY_FIELDS)
@@ -135,8 +129,8 @@ def run_all(configs, jobs: int = 1) -> list[RunRecord]:
             records[i] = _scored(policy, configs[i], build_eval_dataset(configs[i]),
                                  first.loss_curve, first.dataset_hash)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(run_group, groups.values()))
+    for group in groups.values():
+        run_group(group)
     return records
 
 
